@@ -1,13 +1,46 @@
-//! Garbling/evaluation throughput (per-AND costs for the cost model) and
-//! gate counts of the protocol's non-linear step circuits.
+//! Garbling/evaluation throughput (per-AND costs for the cost model), the
+//! AES bodies underneath it, IKNP extension, and gate counts of the
+//! protocol's non-linear step circuits.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use primer_core::gcmod::{build_step_circuit, GcStepKind};
+use primer_gc::aes::{Aes128, FIXED_KEY};
 use primer_gc::garble::{evaluate, garble};
-use primer_gc::{CircuitBuilder, GcNumCfg};
+use primer_gc::ot::{rot_receiver_offline, rot_sender_offline};
+use primer_gc::{CircuitBuilder, GcNumCfg, OtGroup};
 use primer_math::rng::seeded;
 use primer_math::{FixedSpec, Ring};
+use primer_net::run_two_party;
 use primer_nn::PipelineSpec;
+
+/// One batch width of one AES body, blocks fed back so calls chain.
+fn bench_aes_width<const N: usize>(group: &mut BenchmarkGroup<'_>, aes: &Aes128) {
+    group.throughput(Throughput::Bytes(16 * N as u64));
+    let mut blocks: [u128; N] = std::array::from_fn(|i| i as u128);
+    group.bench_function(format!("encrypt_blocks/{N}"), |bch| {
+        bch.iter(|| {
+            blocks = aes.encrypt_blocks(blocks);
+            blocks
+        })
+    });
+}
+
+fn bench_aes(c: &mut Criterion) {
+    let hw = Aes128::new(FIXED_KEY);
+    let mut bodies = vec![("soft", Aes128::new_software(FIXED_KEY))];
+    if hw.is_hardware() {
+        bodies.push(("hw", hw));
+    } else {
+        println!("note: no AES-NI on this host — aes128/hw rows skipped");
+    }
+    for (tier, aes) in &bodies {
+        let mut group = c.benchmark_group(format!("aes128/{tier}"));
+        bench_aes_width::<1>(&mut group, aes);
+        bench_aes_width::<4>(&mut group, aes);
+        bench_aes_width::<8>(&mut group, aes);
+        group.finish();
+    }
+}
 
 fn bench_gc(c: &mut Criterion) {
     let mut group = c.benchmark_group("gc_gates");
@@ -45,8 +78,53 @@ fn bench_gc(c: &mut Criterion) {
         let mut rng = seeded(512);
         bch.iter(|| garble(&softmax, &mut rng))
     });
+
+    // The session's GELU step (test-tiny: 4 tokens × d_ff 32). Its
+    // tables and wire labels run to hundreds of MB, so unlike the
+    // multiplier above it prices garbling out of cache — what a query
+    // actually pays.
+    let gelu = build_step_circuit(&GcStepKind::Gelu { elems: 128 }, &spec, gc);
+    group.throughput(Throughput::Elements(gelu.and_count() as u64));
+    group.bench_function("garble_gelu_128", |bch| {
+        let mut rng = seeded(513);
+        bch.iter(|| garble(&gelu, &mut rng))
+    });
+    let (garbled, enc) = garble(&gelu, &mut seeded(514));
+    let gl: Vec<u128> =
+        (0..gelu.garbler_inputs as usize).map(|i| enc.garbler_label(i, false)).collect();
+    let el: Vec<u128> =
+        (0..gelu.evaluator_inputs as usize).map(|i| enc.evaluator_pair(i).0).collect();
+    group.bench_function("evaluate_gelu_128", |bch| {
+        bch.iter(|| evaluate(&gelu, &garbled, &gl, &el))
+    });
+
+    // 32 768 random OTs (column PRGs, bit-matrix transpose, row hashes)
+    // on top of the 128 base OTs every extension starts with. An
+    // extension to zero OTs is those base OTs alone — `base_ot_128` is
+    // the share to subtract from `iknp_extend_32k`.
+    let count = 32_768usize;
+    group.throughput(Throughput::Elements(128));
+    group.bench_function("base_ot_128", |bch| {
+        bch.iter(|| {
+            run_two_party(
+                move |t| drop(rot_receiver_offline(&OtGroup::test_768(), &t, 0, &mut seeded(515))),
+                move |t| drop(rot_sender_offline(&OtGroup::test_768(), &t, 0, &mut seeded(516))),
+            )
+        })
+    });
+    group.throughput(Throughput::Elements(count as u64));
+    group.bench_function("iknp_extend_32k", |bch| {
+        bch.iter(|| {
+            run_two_party(
+                move |t| {
+                    drop(rot_receiver_offline(&OtGroup::test_768(), &t, count, &mut seeded(515)))
+                },
+                move |t| drop(rot_sender_offline(&OtGroup::test_768(), &t, count, &mut seeded(516))),
+            )
+        })
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_gc);
+criterion_group!(benches, bench_aes, bench_gc);
 criterion_main!(benches);

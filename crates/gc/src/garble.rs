@@ -3,33 +3,118 @@
 use crate::circuit::{Circuit, Gate, OutBit};
 use crate::label::{color, sample_delta, sample_label, GarbleHash, Label};
 use rand::Rng;
+use std::fmt;
 
-/// The garbled tables plus output decode bits — everything shipped to the
-/// evaluator besides input labels.
+/// Frame header: the AND-gate count and the output count, each a
+/// little-endian `u64`.
+const HEADER_BYTES: usize = 16;
+/// Two 16-byte ciphertexts per AND gate.
+const TABLE_BYTES: usize = 32;
+
+/// The garbled tables plus output decode bytes — everything shipped to
+/// the evaluator besides input labels — held as the wire frame itself:
+/// the header, then `[tg, te]` per AND gate in gate order (little-endian),
+/// then one decode byte per output (`0`/`1`: the color of the wire's
+/// FALSE label; `2`/`3`: a constant folded at build time). The garbler
+/// writes tables straight into the frame and the evaluator reads them in
+/// place, so no copy stands between garbling and the transport.
 #[derive(Debug, Clone)]
 pub struct GarbledCircuit {
-    /// Two ciphertexts per AND gate, in gate order.
-    pub tables: Vec<[u128; 2]>,
-    /// Permute (color) bit of each output wire's zero-label; XOR with the
-    /// evaluated label's color decodes the plaintext output.
-    pub output_decode: Vec<OutDecode>,
+    /// Always `frame_len` of the circuit it was garbled or checked for.
+    frame: Vec<u8>,
 }
 
-/// Decode info for one output bit.
-#[derive(Debug, Clone, Copy)]
-pub enum OutDecode {
-    /// Wire output: stores the color of the FALSE label.
-    Wire {
-        /// Color bit of label-for-false.
-        zero_color: bool,
+/// Why a received frame is not a garbling of the expected circuit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// The frame is not `16 + 32·and_count + outputs` bytes long.
+    Length {
+        /// Bytes the circuit calls for.
+        expected: usize,
+        /// Bytes received.
+        got: usize,
     },
-    /// Constant output folded at build time.
-    Const(bool),
+    /// The header's gate or output count disagrees with the circuit.
+    Counts {
+        /// `(and_count, outputs)` of the circuit.
+        expected: (u64, u64),
+        /// `(and_count, outputs)` the header claims.
+        got: (u64, u64),
+    },
+    /// A decode byte does not fit its output (a color for a constant, a
+    /// constant for a wire, the wrong constant, or no known code).
+    Decode {
+        /// Index of the output.
+        output: usize,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Length { expected, got } => {
+                write!(f, "garbled frame is {got} bytes, circuit calls for {expected}")
+            }
+            Self::Counts { expected, got } => {
+                write!(f, "garbled frame header claims {got:?} (ANDs, outputs), circuit has {expected:?}")
+            }
+            Self::Decode { output } => write!(f, "decode byte of output {output} does not fit it"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Frame length of a circuit with `and_count` AND gates (a walk over the
+/// gate list, so callers count once and pass it in).
+fn frame_len(circuit: &Circuit, and_count: usize) -> usize {
+    HEADER_BYTES + TABLE_BYTES * and_count + circuit.outputs.len()
+}
+
+impl GarbledCircuit {
+    /// Takes a received frame as the garbling of `circuit`. The length is
+    /// checked first — nothing is indexed before it holds — then the
+    /// header counts and the decode bytes.
+    pub fn from_frame(frame: Vec<u8>, circuit: &Circuit) -> Result<Self, FrameError> {
+        let and_count = circuit.and_count();
+        let expected = frame_len(circuit, and_count);
+        if frame.len() != expected {
+            return Err(FrameError::Length { expected, got: frame.len() });
+        }
+        let header = |at: usize| {
+            u64::from_le_bytes(frame[at..at + 8].try_into().expect("8 header bytes"))
+        };
+        let counts = (and_count as u64, circuit.outputs.len() as u64);
+        if (header(0), header(8)) != counts {
+            return Err(FrameError::Counts { expected: counts, got: (header(0), header(8)) });
+        }
+        let decode = &frame[expected - circuit.outputs.len()..];
+        for (output, (o, &d)) in circuit.outputs.iter().zip(decode).enumerate() {
+            let fits = match *o {
+                OutBit::Wire(_) => d <= 1,
+                OutBit::Const(c) => d == 2 + u8::from(c),
+            };
+            if !fits {
+                return Err(FrameError::Decode { output });
+            }
+        }
+        Ok(Self { frame })
+    }
+
+    /// The wire frame.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.frame
+    }
+
+    /// The wire frame, by value — what the garbler hands the transport.
+    pub fn into_frame(self) -> Vec<u8> {
+        self.frame
+    }
 }
 
 /// The garbler's secrets: zero-labels for every input wire and the global
 /// offset Δ (label-for-true = label-for-false ⊕ Δ).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputEncoding {
     /// Zero-labels of the garbler's input wires.
     pub garbler_zero: Vec<Label>,
@@ -55,7 +140,15 @@ impl InputEncoding {
 /// Garbles a circuit; returns the material for the evaluator and the
 /// garbler's input encoding secrets.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, InputEncoding) {
-    let hash = GarbleHash::new();
+    garble_with(circuit, &GarbleHash::new(), rng)
+}
+
+/// [`garble`] under a caller-built hash.
+pub fn garble_with<R: Rng + ?Sized>(
+    circuit: &Circuit,
+    hash: &GarbleHash,
+    rng: &mut R,
+) -> (GarbledCircuit, InputEncoding) {
     let delta = sample_delta(rng);
     let n_inputs = circuit.first_gate_wire() as usize;
     let mut zero = Vec::with_capacity(circuit.num_wires());
@@ -63,50 +156,52 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
         zero.push(sample_label(rng));
     }
 
-    let mut tables = Vec::with_capacity(circuit.and_count());
+    let and_count = circuit.and_count();
+    let mut frame = Vec::with_capacity(frame_len(circuit, and_count));
+    frame.extend_from_slice(&(and_count as u64).to_le_bytes());
+    frame.extend_from_slice(&(circuit.outputs.len() as u64).to_le_bytes());
     let mut tweak: u64 = 0;
-    for gate in &circuit.gates {
-        let w0 = match *gate {
-            Gate::Xor(a, b) => zero[a as usize] ^ zero[b as usize],
-            Gate::Inv(a) => zero[a as usize] ^ delta,
-            Gate::And(a, b) => {
-                let (a0, b0) = (zero[a as usize], zero[b as usize]);
-                let (a1, b1) = (a0 ^ delta, b0 ^ delta);
-                let pa = color(a0);
-                let pb = color(b0);
-                let j0 = tweak;
-                let j1 = tweak + 1;
-                tweak += 2;
-                // Garbler half gate.
-                let tg = hash.hash(a0, j0) ^ hash.hash(a1, j0) ^ if pb { delta } else { 0 };
-                let wg = hash.hash(a0, j0) ^ if pa { tg } else { 0 };
-                // Evaluator half gate.
-                let te = hash.hash(b0, j1) ^ hash.hash(b1, j1) ^ a0;
-                let we = hash.hash(b0, j1) ^ if pb { te ^ a0 } else { 0 };
-                tables.push([tg, te]);
-                wg ^ we
-            }
-        };
-        zero.push(w0);
-    }
-
-    let output_decode = circuit
-        .outputs
-        .iter()
-        .map(|o| match *o {
-            OutBit::Wire(w) => OutDecode::Wire { zero_color: color(zero[w as usize]) },
-            OutBit::Const(c) => OutDecode::Const(c),
-        })
-        .collect();
+    // The whole gate loop runs inside the cipher's tier, so each gate's
+    // hash batch inlines here rather than being a call per gate.
+    hash.in_tier(|| {
+        for gate in &circuit.gates {
+            let w0 = match *gate {
+                Gate::Xor(a, b) => zero[a as usize] ^ zero[b as usize],
+                Gate::Inv(a) => zero[a as usize] ^ delta,
+                Gate::And(a, b) => {
+                    let (a0, b0) = (zero[a as usize], zero[b as usize]);
+                    let pa = color(a0);
+                    let pb = color(b0);
+                    let j0 = tweak;
+                    let j1 = tweak + 1;
+                    tweak += 2;
+                    let [ha0, ha1, hb0, hb1] =
+                        hash.hash_batch([(a0, j0), (a0 ^ delta, j0), (b0, j1), (b0 ^ delta, j1)]);
+                    // Garbler half gate.
+                    let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
+                    let wg = ha0 ^ if pa { tg } else { 0 };
+                    // Evaluator half gate.
+                    let te = hb0 ^ hb1 ^ a0;
+                    let we = hb0 ^ if pb { te ^ a0 } else { 0 };
+                    frame.extend_from_slice(&tg.to_le_bytes());
+                    frame.extend_from_slice(&te.to_le_bytes());
+                    wg ^ we
+                }
+            };
+            zero.push(w0);
+        }
+    });
+    frame.extend(circuit.outputs.iter().map(|o| match *o {
+        OutBit::Wire(w) => u8::from(color(zero[w as usize])),
+        OutBit::Const(c) => 2 + u8::from(c),
+    }));
 
     let encoding = InputEncoding {
         garbler_zero: zero[..circuit.garbler_inputs as usize].to_vec(),
-        evaluator_zero: zero
-            [circuit.garbler_inputs as usize..n_inputs]
-            .to_vec(),
+        evaluator_zero: zero[circuit.garbler_inputs as usize..n_inputs].to_vec(),
         delta,
     };
-    (GarbledCircuit { tables, output_decode }, encoding)
+    (GarbledCircuit { frame }, encoding)
 }
 
 /// Evaluates a garbled circuit given one label per input wire.
@@ -114,55 +209,74 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
 ///
 /// # Panics
 ///
-/// Panics if label counts don't match the circuit.
+/// Panics if label counts don't match the circuit, or if `garbled` is a
+/// garbling of a circuit of another shape.
 pub fn evaluate(
     circuit: &Circuit,
     garbled: &GarbledCircuit,
     garbler_labels: &[Label],
     evaluator_labels: &[Label],
 ) -> Vec<bool> {
+    evaluate_with(circuit, &GarbleHash::new(), garbled, garbler_labels, evaluator_labels)
+}
+
+/// [`evaluate`] under a caller-built hash.
+pub fn evaluate_with(
+    circuit: &Circuit,
+    hash: &GarbleHash,
+    garbled: &GarbledCircuit,
+    garbler_labels: &[Label],
+    evaluator_labels: &[Label],
+) -> Vec<bool> {
     assert_eq!(garbler_labels.len(), circuit.garbler_inputs as usize, "garbler labels");
     assert_eq!(evaluator_labels.len(), circuit.evaluator_inputs as usize, "evaluator labels");
-    let hash = GarbleHash::new();
+    // The one check the table reads below rest on: with the frame at this
+    // length, `chunks_exact` yields exactly one table per AND gate.
+    let and_count = circuit.and_count();
+    assert_eq!(
+        garbled.frame.len(),
+        frame_len(circuit, and_count),
+        "garbled frame is for another circuit"
+    );
+    let (tables, decode) = garbled.frame[HEADER_BYTES..].split_at(TABLE_BYTES * and_count);
+    let mut tables = tables.chunks_exact(TABLE_BYTES);
     let mut wires = Vec::with_capacity(circuit.num_wires());
     wires.extend_from_slice(garbler_labels);
     wires.extend_from_slice(evaluator_labels);
 
-    let mut and_idx = 0usize;
     let mut tweak: u64 = 0;
-    for gate in &circuit.gates {
-        let w = match *gate {
-            Gate::Xor(a, b) => wires[a as usize] ^ wires[b as usize],
-            Gate::Inv(a) => wires[a as usize],
-            Gate::And(a, b) => {
-                let (la, lb) = (wires[a as usize], wires[b as usize]);
-                let sa = color(la);
-                let sb = color(lb);
-                let [tg, te] = garbled.tables[and_idx];
-                and_idx += 1;
-                let j0 = tweak;
-                let j1 = tweak + 1;
-                tweak += 2;
-                let wg = hash.hash(la, j0) ^ if sa { tg } else { 0 };
-                let we = hash.hash(lb, j1) ^ if sb { te ^ la } else { 0 };
-                wg ^ we
-            }
-        };
-        wires.push(w);
-    }
+    hash.in_tier(|| {
+        for gate in &circuit.gates {
+            let w = match *gate {
+                Gate::Xor(a, b) => wires[a as usize] ^ wires[b as usize],
+                Gate::Inv(a) => wires[a as usize],
+                Gate::And(a, b) => {
+                    let (la, lb) = (wires[a as usize], wires[b as usize]);
+                    let sa = color(la);
+                    let sb = color(lb);
+                    let (tg, te) = tables.next().expect("one table per AND gate").split_at(16);
+                    let tg = u128::from_le_bytes(tg.try_into().expect("16-byte ciphertext"));
+                    let te = u128::from_le_bytes(te.try_into().expect("16-byte ciphertext"));
+                    let j0 = tweak;
+                    let j1 = tweak + 1;
+                    tweak += 2;
+                    let [ha, hb] = hash.hash_batch([(la, j0), (lb, j1)]);
+                    let wg = ha ^ if sa { tg } else { 0 };
+                    let we = hb ^ if sb { te ^ la } else { 0 };
+                    wg ^ we
+                }
+            };
+            wires.push(w);
+        }
+    });
 
     circuit
         .outputs
         .iter()
-        .zip(&garbled.output_decode)
-        .map(|(o, d)| match (*o, *d) {
-            (OutBit::Wire(w), OutDecode::Wire { zero_color }) => {
-                color(wires[w as usize]) ^ zero_color
-            }
-            (OutBit::Const(c), _) => c,
-            (OutBit::Wire(_), OutDecode::Const(_)) => {
-                unreachable!("wire output with const decode")
-            }
+        .zip(decode)
+        .map(|(o, &d)| match *o {
+            OutBit::Wire(w) => color(wires[w as usize]) ^ (d & 1 == 1),
+            OutBit::Const(c) => c,
         })
         .collect()
 }
@@ -253,6 +367,76 @@ mod tests {
         let circuit = b.build(&p);
         let mut rng = seeded(102);
         let (garbled, _) = garble(&circuit, &mut rng);
-        assert_eq!(garbled.tables.len(), circuit.and_count());
+        let frame = garbled.as_bytes();
+        assert_eq!(frame[..8], (circuit.and_count() as u64).to_le_bytes());
+        assert_eq!(frame.len(), 16 + circuit.garbled_size_bytes() + circuit.outputs.len());
+    }
+    /// A frame that is short, over-long or lies about its counts is turned
+    /// away by `from_frame` — the evaluator's loop never sees it.
+    #[test]
+    fn malformed_frames_are_rejected_at_the_length_check() {
+        let mut b = CircuitBuilder::new();
+        let x = b.garbler_input(8);
+        let y = b.evaluator_input(8);
+        let p = b.mul(&x, &y);
+        let circuit = b.build(&p);
+        let ands = circuit.and_count();
+        let (garbled, _) = garble(&circuit, &mut seeded(103));
+        let good = garbled.into_frame();
+        let expected = good.len();
+        assert!(GarbledCircuit::from_frame(good.clone(), &circuit).is_ok());
+
+        let length = |got: usize| Err(FrameError::Length { expected, got });
+        for cut in [0, 7, 16, expected - 32, expected - 1] {
+            let got = GarbledCircuit::from_frame(good[..cut].to_vec(), &circuit).map(drop);
+            assert_eq!(got, length(cut), "frame cut to {cut} bytes");
+        }
+        let mut long = good.clone();
+        long.push(0);
+        assert_eq!(GarbledCircuit::from_frame(long, &circuit).map(drop), length(expected + 1));
+
+        // A header claiming one gate fewer: at full length the counts
+        // give it away, and trimmed to the length it claims it is short.
+        let mut forged = good.clone();
+        forged[..8].copy_from_slice(&(ands as u64 - 1).to_le_bytes());
+        let outputs = circuit.outputs.len() as u64;
+        assert_eq!(
+            GarbledCircuit::from_frame(forged.clone(), &circuit).map(drop),
+            Err(FrameError::Counts {
+                expected: (ands as u64, outputs),
+                got: (ands as u64 - 1, outputs)
+            })
+        );
+        forged.drain(16..48);
+        assert_eq!(GarbledCircuit::from_frame(forged, &circuit).map(drop), length(expected - 32));
+
+        // A wire output whose decode byte says "constant".
+        let wire_out = circuit
+            .outputs
+            .iter()
+            .position(|o| matches!(o, OutBit::Wire(_)))
+            .expect("a multiplier has wire outputs");
+        let mut bad_decode = good;
+        bad_decode[expected - circuit.outputs.len() + wire_out] = 2;
+        assert_eq!(
+            GarbledCircuit::from_frame(bad_decode, &circuit).map(drop),
+            Err(FrameError::Decode { output: wire_out })
+        );
+    }
+
+    /// `evaluate` refuses a garbling of a circuit of another shape.
+    #[test]
+    #[should_panic(expected = "garbled frame is for another circuit")]
+    fn evaluate_refuses_another_circuits_garbling() {
+        let build = |width| {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_input(width);
+            let y = b.evaluator_input(width);
+            let s = b.add(&x, &y);
+            b.build(&s)
+        };
+        let (small, big) = (build(4), build(5));
+        let (garbled, _) = garble(&small, &mut seeded(104));
+        evaluate(&big, &garbled, &[0; 5], &[0; 5]);
     }
 }

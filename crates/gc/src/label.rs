@@ -35,14 +35,31 @@ pub struct GarbleHash {
 impl GarbleHash {
     /// The stack-wide fixed-key hash.
     pub fn new() -> Self {
-        Self { aes: Aes128::fixed() }
+        Self::with_aes(Aes128::fixed())
     }
 
-    /// Hashes a label under a gate-unique tweak.
+    /// The hash over a caller-built schedule — how tests pin the software
+    /// or the hardware AES body.
+    pub fn with_aes(aes: Aes128) -> Self {
+        Self { aes }
+    }
+
+    /// Runs `f` inside the cipher's tier (see [`Aes128::in_tier`]).
     #[inline]
-    pub fn hash(&self, label: Label, tweak: u64) -> u128 {
-        let x = (label << 1) ^ (tweak as u128);
-        self.aes.encrypt_block(x) ^ x
+    pub fn in_tier<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.aes.in_tier(f)
+    }
+
+    /// Hashes `N` labels, each under its gate-unique tweak, through one
+    /// batched AES call.
+    #[inline]
+    pub fn hash_batch<const N: usize>(&self, inputs: [(Label, u64); N]) -> [u128; N] {
+        let xs = inputs.map(|(label, tweak)| (label << 1) ^ (tweak as u128));
+        let mut out = self.aes.encrypt_blocks(xs);
+        for (o, x) in out.iter_mut().zip(xs) {
+            *o ^= x;
+        }
+        out
     }
 }
 
@@ -68,8 +85,11 @@ mod tests {
     #[test]
     fn hash_depends_on_tweak_and_label() {
         let h = GarbleHash::new();
-        assert_ne!(h.hash(5, 1), h.hash(5, 2));
-        assert_ne!(h.hash(5, 1), h.hash(6, 1));
-        assert_eq!(h.hash(5, 1), h.hash(5, 1));
+        let [base, tweaked, relabeled, again] = h.hash_batch([(5, 1), (5, 2), (6, 1), (5, 1)]);
+        assert_ne!(base, tweaked);
+        assert_ne!(base, relabeled);
+        assert_eq!(base, again);
+        // A batch is its members hashed one at a time.
+        assert_eq!(h.hash_batch([(5, 2)]), [tweaked]);
     }
 }

@@ -13,7 +13,9 @@
 //! * [`nonlinear`] — SoftMax / GELU / LayerNorm / sigmoid / exp circuits,
 //!   bit-exact against `primer_math::fxp`,
 //! * [`garble`] — half-gates garbling and evaluation over a fixed-key
-//!   AES-128 hash ([`aes`]),
+//!   AES-128 hash ([`aes`]: AES-NI where the CPU has it, a byte-wise
+//!   software body elsewhere), tables written into and read from the
+//!   wire frame in place,
 //! * [`ot`] — Chou–Orlandi base OTs over MODP groups (own bignum with
 //!   Montgomery exponentiation) extended via IKNP to precomputed random
 //!   OTs,

@@ -62,8 +62,7 @@ impl OtGroup {
 
 /// Hashes a group element (plus an index tweak) to a 128-bit key with a
 /// Matyas–Meyer–Oseas chain over fixed-key AES.
-fn hash_to_key(elem: &BigUint, tweak: u64) -> u128 {
-    let aes = Aes128::fixed();
+fn hash_to_key(aes: &Aes128, elem: &BigUint, tweak: u64) -> u128 {
     let mut h: u128 = tweak as u128;
     for chunk in elem.to_bytes_le().chunks(16) {
         let mut block = [0u8; 16];
@@ -82,6 +81,7 @@ pub fn base_ot_send<R: Rng + ?Sized>(
     pairs: &[(u128, u128)],
     rng: &mut R,
 ) {
+    let aes = Aes128::fixed();
     let a = group.random_exponent(rng);
     let big_a = group.pow_g(&a);
     transport.send_owned(big_a.to_bytes_le());
@@ -89,9 +89,9 @@ pub fn base_ot_send<R: Rng + ?Sized>(
     for (i, &(m0, m1)) in pairs.iter().enumerate() {
         let b_bytes = transport.recv();
         let big_b = BigUint::from_bytes_le(&b_bytes, group.limbs);
-        let k0 = hash_to_key(&group.ctx.pow_mod(&big_b, &a), i as u64);
+        let k0 = hash_to_key(&aes, &group.ctx.pow_mod(&big_b, &a), i as u64);
         let b_over_a = group.ctx.mul_mod(&big_b, &a_inv);
-        let k1 = hash_to_key(&group.ctx.pow_mod(&b_over_a, &a), i as u64);
+        let k1 = hash_to_key(&aes, &group.ctx.pow_mod(&b_over_a, &a), i as u64);
         let mut payload = (m0 ^ k0).to_le_bytes().to_vec();
         payload.extend_from_slice(&(m1 ^ k1).to_le_bytes());
         transport.send_owned(payload);
@@ -105,6 +105,7 @@ pub fn base_ot_receive<R: Rng + ?Sized>(
     choices: &[bool],
     rng: &mut R,
 ) -> Vec<u128> {
+    let aes = Aes128::fixed();
     let big_a = BigUint::from_bytes_le(&transport.recv(), group.limbs);
     let mut out = Vec::with_capacity(choices.len());
     for (i, &c) in choices.iter().enumerate() {
@@ -112,7 +113,7 @@ pub fn base_ot_receive<R: Rng + ?Sized>(
         let g_b = group.pow_g(&b);
         let big_b = if c { group.ctx.mul_mod(&g_b, &big_a) } else { g_b };
         transport.send_owned(big_b.to_bytes_le());
-        let key = hash_to_key(&group.ctx.pow_mod(&big_a, &b), i as u64);
+        let key = hash_to_key(&aes, &group.ctx.pow_mod(&big_a, &b), i as u64);
         let payload = transport.recv();
         let m0 = u128::from_le_bytes(payload[..16].try_into().expect("16 bytes"));
         let m1 = u128::from_le_bytes(payload[16..32].try_into().expect("16 bytes"));

@@ -15,27 +15,67 @@ use rand::Rng;
 
 const KAPPA: usize = 128;
 
-/// PRG: expands a 128-bit seed into `n` pseudorandom bits (packed LSB
-/// first in u128 blocks) using AES-CTR.
-fn prg_bits(seed: u128, n: usize) -> Vec<u128> {
-    let aes = Aes128::fixed();
-    let blocks = n.div_ceil(128);
-    (0..blocks).map(|i| aes.encrypt_block(seed ^ (i as u128) ^ (1u128 << 120))).collect()
+/// PRG: fills `out` with the AES-128 counter-mode keystream under `seed`
+/// as the key (128 pseudorandom bits per block, LSB first).
+fn prg_fill(seed: u128, out: &mut [u128]) {
+    for (i, block) in out.iter_mut().enumerate() {
+        *block = i as u128;
+    }
+    Aes128::new(seed.to_le_bytes()).encrypt_slice(out);
 }
 
-fn get_bit(words: &[u128], j: usize) -> bool {
-    (words[j / 128] >> (j % 128)) & 1 == 1
+/// Transposes a 128×128 bit matrix in place: bit `c` of `m[r]` trades
+/// places with bit `r` of `m[c]`. Seven rounds of masked block swaps
+/// (64×64 blocks first, single bits last).
+fn transpose_128(m: &mut [u128; KAPPA]) {
+    let mut j = KAPPA / 2;
+    let mut mask = u128::MAX >> j;
+    while j != 0 {
+        let mut k = 0;
+        while k < KAPPA {
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k + j] ^= t;
+            m[k] ^= t << j;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
 }
 
-fn xor_words(a: &[u128], b: &[u128]) -> Vec<u128> {
-    a.iter().zip(b).map(|(x, y)| x ^ y).collect()
+/// Turns the 128 extension columns (`cols` holds them back to back, each
+/// `blocks` words long, row `j` at bit `j % 128` of word `j / 128`) into
+/// the first `count` rows, column `i` at bit `i`.
+fn transpose_columns(cols: &[u128], count: usize) -> Vec<u128> {
+    let blocks = cols.len() / KAPPA;
+    let mut rows = Vec::with_capacity(blocks * KAPPA);
+    let mut m = [0u128; KAPPA];
+    for b in 0..blocks {
+        for (i, word) in m.iter_mut().enumerate() {
+            *word = cols[i * blocks + b];
+        }
+        transpose_128(&mut m);
+        rows.extend_from_slice(&m);
+    }
+    rows.truncate(count);
+    rows
 }
 
-/// Correlation-robust hash for row keys.
-fn row_hash(j: u64, q: u128) -> u128 {
-    let aes = Aes128::fixed();
-    let x = q ^ ((j as u128) << 64);
-    aes.encrypt_block(x) ^ x
+/// Correlation-robust hash input for row `j`: `H(j, q) = π(x) ⊕ x` at
+/// `x = q ⊕ (j ≪ 64)`.
+fn row_input(j: usize, q: u128) -> u128 {
+    q ^ ((j as u128) << 64)
+}
+
+/// `π(x) ⊕ x` over every input: one fixed-key schedule, the batched
+/// cipher.
+fn row_hashes(xs: Vec<u128>) -> Vec<u128> {
+    let mut hs = xs.clone();
+    Aes128::fixed().encrypt_slice(&mut hs);
+    for (h, x) in hs.iter_mut().zip(xs) {
+        *h ^= x;
+    }
+    hs
 }
 
 /// The receiver's precomputed random OTs: for each index, a random
@@ -74,29 +114,25 @@ pub fn rot_sender_offline<R: Rng + ?Sized>(
     }
     // Receive correction columns u_i; q_i = G(k_{s_i}) ⊕ s_i·u_i.
     let blocks = count.div_ceil(128);
-    let mut q_cols: Vec<Vec<u128>> = Vec::with_capacity(KAPPA);
+    let mut q_cols = vec![0u128; KAPPA * blocks];
     for (i, &seed) in seeds.iter().enumerate() {
         let u_bytes = transport.recv();
-        let u: Vec<u128> = u_bytes
-            .chunks(16)
-            .map(|c| u128::from_le_bytes(c.try_into().expect("16-byte block")))
-            .collect();
-        assert_eq!(u.len(), blocks, "column length mismatch");
-        let g = prg_bits(seed, count);
-        q_cols.push(if s_bits[i] { xor_words(&g, &u) } else { g });
+        assert_eq!(u_bytes.len(), blocks * 16, "column length mismatch");
+        let q = &mut q_cols[i * blocks..(i + 1) * blocks];
+        prg_fill(seed, q);
+        if s_bits[i] {
+            for (q, u) in q.iter_mut().zip(u_bytes.chunks_exact(16)) {
+                *q ^= u128::from_le_bytes(u.try_into().expect("16-byte block"));
+            }
+        }
     }
     // Rows: q_j; keys (H(j, q_j), H(j, q_j ⊕ s)).
-    let pairs = (0..count)
-        .map(|j| {
-            let mut q_row: u128 = 0;
-            for (i, col) in q_cols.iter().enumerate() {
-                if get_bit(col, j) {
-                    q_row |= 1 << i;
-                }
-            }
-            (row_hash(j as u64, q_row), row_hash(j as u64, q_row ^ s_word))
-        })
+    let inputs = transpose_columns(&q_cols, count)
+        .into_iter()
+        .enumerate()
+        .flat_map(|(j, q)| [row_input(j, q), row_input(j, q ^ s_word)])
         .collect();
+    let pairs = row_hashes(inputs).chunks_exact(2).map(|h| (h[0], h[1])).collect();
     RotSender { pairs, used: 0 }
 }
 
@@ -119,26 +155,26 @@ pub fn rot_receiver_offline<R: Rng + ?Sized>(
     let seed_pairs: Vec<(u128, u128)> = (0..KAPPA).map(|_| (rng.gen(), rng.gen())).collect();
     base_ot_send(group, transport, &seed_pairs, rng);
     // Send corrections u_i = G(k0) ⊕ G(k1) ⊕ r.
-    let mut t_cols: Vec<Vec<u128>> = Vec::with_capacity(KAPPA);
-    for &(k0, k1) in &seed_pairs {
-        let t = prg_bits(k0, count);
-        let g1 = prg_bits(k1, count);
-        let u = xor_words(&xor_words(&t, &g1), &r_word);
-        let bytes: Vec<u8> = u.iter().flat_map(|w| w.to_le_bytes()).collect();
+    let mut t_cols = vec![0u128; KAPPA * blocks];
+    let mut g1 = vec![0u128; blocks];
+    for (i, &(k0, k1)) in seed_pairs.iter().enumerate() {
+        let t = &mut t_cols[i * blocks..(i + 1) * blocks];
+        prg_fill(k0, t);
+        prg_fill(k1, &mut g1);
+        let bytes: Vec<u8> = t
+            .iter()
+            .zip(&g1)
+            .zip(&r_word)
+            .flat_map(|((t, g), r)| (t ^ g ^ r).to_le_bytes())
+            .collect();
         transport.send_owned(bytes);
-        t_cols.push(t);
     }
-    let received = (0..count)
-        .map(|j| {
-            let mut t_row: u128 = 0;
-            for (i, col) in t_cols.iter().enumerate() {
-                if get_bit(col, j) {
-                    t_row |= 1 << i;
-                }
-            }
-            row_hash(j as u64, t_row)
-        })
+    let inputs = transpose_columns(&t_cols, count)
+        .into_iter()
+        .enumerate()
+        .map(|(j, t)| row_input(j, t))
         .collect();
+    let received = row_hashes(inputs);
     RotReceiver { choices, received, used: 0 }
 }
 
@@ -220,6 +256,39 @@ mod tests {
     use super::*;
     use primer_math::rng::seeded;
     use primer_net::run_two_party;
+
+    /// The block transpose against a bit-by-bit gather, on random
+    /// matrices whose row count is not a multiple of 128.
+    #[test]
+    fn block_transpose_matches_naive_gather() {
+        use rand::Rng;
+        let mut rng = seeded(124);
+        for count in [1usize, 127, 129, 300, 1000] {
+            let blocks = count.div_ceil(128);
+            let cols: Vec<u128> = (0..KAPPA * blocks).map(|_| rng.gen()).collect();
+            let get_bit = |i: usize, j: usize| (cols[i * blocks + j / 128] >> (j % 128)) & 1;
+            let want: Vec<u128> =
+                (0..count).map(|j| (0..KAPPA).fold(0, |row, i| row | get_bit(i, j) << i)).collect();
+            assert_eq!(transpose_columns(&cols, count), want, "{count} rows");
+        }
+        assert!(transpose_columns(&[], 0).is_empty());
+    }
+
+    /// The PRG is AES-CTR keyed by the seed: block `i` is `AES_seed(i)`,
+    /// and a longer expansion extends a shorter one.
+    #[test]
+    fn prg_is_counter_mode_under_the_seed() {
+        let seed = 0x0123_4567_89ab_cdef_0011_2233_4455_6677u128;
+        let mut long = [0u128; 11];
+        prg_fill(seed, &mut long);
+        let aes = Aes128::new_software(seed.to_le_bytes());
+        for (i, &block) in long.iter().enumerate() {
+            assert_eq!(block, aes.encrypt_block(i as u128), "block {i}");
+        }
+        let mut short = [0u128; 3];
+        prg_fill(seed, &mut short);
+        assert_eq!(short[..], long[..3]);
+    }
 
     #[test]
     fn extension_transfers_many_chosen_messages() {

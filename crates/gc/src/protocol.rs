@@ -11,7 +11,7 @@
 //!          computations online" property for the GC phase.
 
 use crate::circuit::Circuit;
-use crate::garble::{evaluate, garble, GarbledCircuit, InputEncoding, OutDecode};
+use crate::garble::{evaluate, garble, GarbledCircuit, InputEncoding};
 use crate::label::Label;
 use crate::ot::{rot_receiver_offline, rot_sender_offline, OtGroup, RotReceiver, RotSender};
 use primer_net::Transport;
@@ -34,7 +34,7 @@ impl GarblerSession {
         rng: &mut R,
     ) -> Self {
         let (garbled, encoding) = garble(circuit, rng);
-        transport.send_owned(serialize_garbled(&garbled));
+        transport.send_owned(garbled.into_frame());
         let rots =
             rot_sender_offline(group, transport, circuit.evaluator_inputs as usize, rng);
         Self { encoding, rots }
@@ -65,13 +65,20 @@ pub struct EvaluatorSession {
 
 impl EvaluatorSession {
     /// Offline phase: receives the garbled tables and runs the OT setup.
+    /// The received frame is kept as it arrived and evaluated in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is not a garbling of `circuit` (wrong length,
+    /// counts or decode bytes) — checked here, before anything indexes it.
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
         group: &OtGroup,
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
-        let garbled = deserialize_garbled(&transport.recv(), circuit);
+        let garbled = GarbledCircuit::from_frame(transport.recv(), circuit)
+            .unwrap_or_else(|e| panic!("garbler sent a bad frame: {e}"));
         let rots =
             rot_receiver_offline(group, transport, circuit.evaluator_inputs as usize, rng);
         Self { garbled, rots }
@@ -94,48 +101,6 @@ impl EvaluatorSession {
         let my_labels = self.rots.receive_chosen(transport, evaluator_inputs);
         evaluate(circuit, &self.garbled, &garbler_labels, &my_labels)
     }
-}
-
-fn serialize_garbled(g: &GarbledCircuit) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + g.tables.len() * 32 + g.output_decode.len());
-    out.extend_from_slice(&(g.tables.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(g.output_decode.len() as u64).to_le_bytes());
-    for [a, b] in &g.tables {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    for d in &g.output_decode {
-        out.push(match d {
-            OutDecode::Wire { zero_color } => u8::from(*zero_color),
-            OutDecode::Const(c) => 2 + u8::from(*c),
-        });
-    }
-    out
-}
-
-fn deserialize_garbled(bytes: &[u8], circuit: &Circuit) -> GarbledCircuit {
-    let n_tables = u64::from_le_bytes(bytes[..8].try_into().expect("header")) as usize;
-    let n_out = u64::from_le_bytes(bytes[8..16].try_into().expect("header")) as usize;
-    assert_eq!(n_tables, circuit.and_count(), "table count mismatch");
-    assert_eq!(n_out, circuit.outputs.len(), "output count mismatch");
-    let mut tables = Vec::with_capacity(n_tables);
-    let mut off = 16;
-    for _ in 0..n_tables {
-        let a = u128::from_le_bytes(bytes[off..off + 16].try_into().expect("table"));
-        let b = u128::from_le_bytes(bytes[off + 16..off + 32].try_into().expect("table"));
-        tables.push([a, b]);
-        off += 32;
-    }
-    let output_decode = bytes[off..off + n_out]
-        .iter()
-        .map(|&v| match v {
-            0 => OutDecode::Wire { zero_color: false },
-            1 => OutDecode::Wire { zero_color: true },
-            2 => OutDecode::Const(false),
-            _ => OutDecode::Const(true),
-        })
-        .collect();
-    GarbledCircuit { tables, output_decode }
 }
 
 #[cfg(test)]
