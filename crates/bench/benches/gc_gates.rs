@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
 use primer_core::gcmod::{build_step_circuit, GcStepKind};
+use primer_core::{build_session_circuits, ProtocolVariant, SystemConfig};
 use primer_gc::aes::{Aes128, FIXED_KEY};
 use primer_gc::garble::{evaluate, garble};
 use primer_gc::ot::{rot_receiver_offline, rot_sender_offline};
@@ -11,7 +12,7 @@ use primer_gc::{CircuitBuilder, GcNumCfg, OtGroup};
 use primer_math::rng::seeded;
 use primer_math::{FixedSpec, Ring};
 use primer_net::run_two_party;
-use primer_nn::PipelineSpec;
+use primer_nn::{FixedTransformer, PipelineSpec, TransformerConfig, TransformerWeights};
 
 /// One batch width of one AES body, blocks fed back so calls chain.
 fn bench_aes_width<const N: usize>(group: &mut BenchmarkGroup<'_>, aes: &Aes128) {
@@ -79,10 +80,9 @@ fn bench_gc(c: &mut Criterion) {
         bch.iter(|| garble(&softmax, &mut rng))
     });
 
-    // The session's GELU step (test-tiny: 4 tokens × d_ff 32). Its
-    // tables and wire labels run to hundreds of MB, so unlike the
-    // multiplier above it prices garbling out of cache — what a query
-    // actually pays.
+    // The session's GELU step (test-tiny: 4 tokens × d_ff 32) the way
+    // the session runs it: one element's unit, 128 times. The labels stay
+    // the size of the unit; the frame is the whole step's.
     let gelu = build_step_circuit(&GcStepKind::Gelu { elems: 128 }, &spec, gc);
     group.throughput(Throughput::Elements(gelu.and_count() as u64));
     group.bench_function("garble_gelu_128", |bch| {
@@ -96,6 +96,22 @@ fn bench_gc(c: &mut Criterion) {
         (0..gelu.evaluator_inputs as usize).map(|i| enc.evaluator_pair(i).0).collect();
     group.bench_function("evaluate_gelu_128", |bch| {
         bch.iter(|| evaluate(&gelu, &garbled, &gl, &el))
+    });
+
+    // Every step circuit of a test-tiny Primer-FPC session — one unit per
+    // step through the builder, its hashing and its dead-gate pass; both
+    // parties pay this once at setup.
+    let cfg = TransformerConfig::test_tiny();
+    let sys = SystemConfig::test_profile(&cfg).expect("test-tiny fits the test profile");
+    let weights = TransformerWeights::random(&cfg, &mut seeded(517));
+    let fixed = FixedTransformer::quantize(&cfg, &weights, sys.pipeline);
+    let session_ands: usize = build_session_circuits(&sys, ProtocolVariant::Fpc, &fixed)
+        .iter()
+        .map(|c| c.and_count())
+        .sum();
+    group.throughput(Throughput::Elements(session_ands as u64));
+    group.bench_function("build_session_circuits", |bch| {
+        bch.iter(|| build_session_circuits(&sys, ProtocolVariant::Fpc, &fixed))
     });
 
     // 32 768 random OTs (column PRGs, bit-matrix transpose, row hashes)

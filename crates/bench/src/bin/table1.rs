@@ -20,7 +20,7 @@ fn main() {
 
     println!("# Table I — private BERT-base inference (MNLI-m)");
     println!("# latency columns: seconds from the calibrated cost model at paper-scale params");
-    println!("# accuracy: measured teacher-agreement on the scaled synthetic task (paper values in EXPERIMENTS.md)");
+    println!("# accuracy: measured teacher-agreement on the scaled synthetic task (see DESIGN.md §4)");
     println!("{:<22} {:>12} {:>12} {:>12} {:>10}", "Scheme", "Offline(s)", "Online(s)", "Total(s)", "Acc.(%)");
 
     let thex = thex_latency(&cfg, &costs, &net, model.simd);

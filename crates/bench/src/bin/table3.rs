@@ -46,5 +46,5 @@ fn main() {
     println!();
     println!("# accuracy columns are the measured fixed-point teacher-agreement of the");
     println!("# scaled tasks (identical across rows by construction — the paper's per-model");
-    println!("# spread needs trained checkpoints; see EXPERIMENTS.md for the mapping)");
+    println!("# spread needs trained checkpoints; see DESIGN.md §4 for what is modelled)");
 }

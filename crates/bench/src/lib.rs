@@ -3,8 +3,8 @@
 //! Each binary regenerates one table or figure of the paper: the latency
 //! columns come from the calibrated cost model (`primer-core::costmodel`)
 //! at paper-scale parameters, and the accuracy columns are measured on
-//! scaled random-teacher tasks (the DESIGN.md substitution), reported
-//! next to the paper's values in EXPERIMENTS.md.
+//! scaled random-teacher tasks (the DESIGN.md §1 substitution); how the
+//! latency columns are extrapolated is DESIGN.md §4.
 
 pub mod benchjson;
 

@@ -1,8 +1,11 @@
 //! Execution of garbled step circuits: the client (garbler) and server
 //! (evaluator) halves of one step, in both real-garbled and simulated
-//! modes, with wire traffic padded to the exact garbled sizes.
+//! modes. Simulated mode ships, per phase, one client → server flight as
+//! long as everything the garbled phase moves in both directions — the
+//! sizes come from `primer_gc::protocol`, which the garbled path runs.
 
 use super::GcMode;
+use primer_gc::protocol::{offline_bytes, online_bytes};
 use primer_gc::{Circuit, EvaluatorSession, GarblerSession, OtGroup};
 use rand::Rng;
 use primer_net::Transport;
@@ -19,23 +22,6 @@ fn pack_bools(bits: &[bool]) -> Vec<u8> {
 
 fn unpack_bools(bytes: &[u8], len: usize) -> Vec<bool> {
     (0..len).map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1).collect()
-}
-
-/// Wire-size estimates for simulated mode (mirrors what the garbled path
-/// actually ships, so byte metering stays honest).
-fn offline_bytes(circuit: &Circuit) -> usize {
-    // Garbled tables + output decode + IKNP columns (128 columns of
-    // ceil(inputs/128) blocks) + base-OT flights (~128 × 2 × 256B).
-    let tables = circuit.and_count() * 32 + circuit.outputs.len();
-    let iknp = 128 * (circuit.evaluator_inputs as usize).div_ceil(128) * 16;
-    tables + iknp + 128 * 512
-}
-
-fn online_bytes(circuit: &Circuit) -> usize {
-    // Garbler labels + flip bits + OT corrections.
-    circuit.garbler_inputs as usize * 16
-        + (circuit.evaluator_inputs as usize).div_ceil(8)
-        + circuit.evaluator_inputs as usize * 32
 }
 
 /// Client (garbler) half of one step execution.
@@ -65,7 +51,7 @@ impl GcClientStep {
                 Self { mode, session: Some(session) }
             }
             GcMode::Simulated => {
-                crate::wire::send_placeholder(transport, offline_bytes(circuit));
+                crate::wire::send_placeholder(transport, offline_bytes(circuit, group));
                 Self { mode, session: None }
             }
         }
@@ -79,9 +65,10 @@ impl GcClientStep {
                 self.session.expect("offline ran").online(transport, bits);
             }
             GcMode::Simulated => {
+                // The bits ride at the head of a payload the size of the
+                // real online traffic (a label per bit alone is longer).
                 let mut payload = pack_bools(bits);
-                // Pad to the real online label traffic.
-                payload.resize(payload.len() + online_bytes(circuit), 0);
+                payload.resize(online_bytes(circuit), 0);
                 transport.send_owned(payload);
             }
         }
@@ -254,14 +241,96 @@ mod tests {
     fn layer_norm_residual_step_simulated() {
         let raw: Vec<i64> = (0..8).map(|i| (i - 4) << 10).collect();
         let residual: Vec<i64> = (0..8).map(|i| (8 - i) << 4).collect();
+        check_step(layer_norm_kind(2), raw, residual, GcMode::Simulated);
+    }
+
+    fn layer_norm_kind(rows: usize) -> GcStepKind {
         let gamma: Vec<i64> = (0..4).map(|i| fxp::const_q(1.0 + i as f64 / 8.0, 12)).collect();
         let beta: Vec<i64> = (0..4).map(|i| fxp::const_q(i as f64 / 4.0 - 0.5, 12)).collect();
-        check_step(
-            GcStepKind::LayerNormResidual { rows: 2, cols: 4, gamma, beta },
-            raw,
-            residual,
-            GcMode::Simulated,
+        GcStepKind::LayerNormResidual { rows, cols: 4, gamma, beta }
+    }
+
+    /// Every kind, three instances of its unit, in both modes, on inputs
+    /// that differ per element (`check_step` draws every share, residual
+    /// share and mask at random): an instance reading another's slice of
+    /// a plane, or outputs leaving in another order, cannot pass.
+    #[test]
+    fn every_kind_repeated_matches_reference_in_both_modes() {
+        let scores: Vec<i64> = (0..12).map(|i| (i * 7 % 5 - 2) << 9).collect();
+        let products: Vec<i64> = (0..12).map(|i| (i * 1237 % 4001 - 2000) << 3).collect();
+        let residual: Vec<i64> = (0..12).map(|i| (i * 53 % 97 - 40) << 2).collect();
+        let kinds = [
+            (GcStepKind::TruncSat { elems: 3 }, &products[..3], &[][..]),
+            (GcStepKind::Relu { elems: 3 }, &products[3..6], &[][..]),
+            (GcStepKind::Gelu { elems: 3 }, &products[6..9], &[][..]),
+            (
+                GcStepKind::Softmax { rows: 3, cols: 4, prescale: fxp::const_q(0.5, 12) },
+                &scores[..],
+                &[][..],
+            ),
+            (layer_norm_kind(3), &products[..], &residual[..]),
+        ];
+        for (kind, raw, residual) in kinds {
+            let circuit = build_step_circuit(&kind, &spec(), GcNumCfg { width: 32, frac: 12 });
+            assert_eq!(circuit.repeat(), 3, "{kind:?}");
+            assert_eq!(circuit.unreachable_gates(), 0, "{kind:?}");
+            for mode in [GcMode::Simulated, GcMode::Garbled] {
+                check_step(kind.clone(), raw.to_vec(), residual.to_vec(), mode);
+            }
+        }
+    }
+
+    /// What one phase of one step puts on the wire: `(client → server,
+    /// server → client)` bytes and the flights, offline alone when
+    /// `online` is false.
+    fn step_traffic(circuit: &Circuit, mode: GcMode, online: bool) -> (u64, u64, u64) {
+        let (c1, c2) = (circuit.clone(), circuit.clone());
+        let (_, _, meter) = run_two_party(
+            move |tr| {
+                let step =
+                    GcClientStep::offline(&c1, mode, &OtGroup::test_768(), &tr, &mut seeded(303));
+                if online {
+                    step.online(&c1, &tr, &vec![false; c1.garbler_inputs as usize]);
+                }
+            },
+            move |tr| {
+                let step =
+                    GcServerStep::offline(&c2, mode, &OtGroup::test_768(), &tr, &mut seeded(304));
+                if online {
+                    step.online(&c2, &tr, &vec![true; c2.evaluator_inputs as usize]);
+                }
+            },
         );
+        (meter.c2s.bytes(), meter.s2c.bytes(), meter.total_messages())
+    }
+
+    /// Simulated mode meters what garbled mode ships, phase by phase. It
+    /// keeps each phase to its one client → server flight, so the bytes
+    /// the garbled phase sends back (base-OT replies, IKNP columns, flip
+    /// bits) ride in that flight too: the phase totals agree, not each
+    /// direction's share.
+    #[test]
+    fn simulated_steps_meter_the_garbled_bytes() {
+        let gc = GcNumCfg { width: 32, frac: 12 };
+        for kind in [
+            GcStepKind::TruncSat { elems: 5 },
+            GcStepKind::Softmax { rows: 2, cols: 4, prescale: fxp::const_q(0.5, 12) },
+        ] {
+            let circuit = build_step_circuit(&kind, &spec(), gc);
+            let mut phases = [[0u64; 2]; 2];
+            for (m, mode) in [GcMode::Simulated, GcMode::Garbled].into_iter().enumerate() {
+                let (off_c2s, off_s2c, off_flights) = step_traffic(&circuit, mode, false);
+                let (all_c2s, all_s2c, all_flights) = step_traffic(&circuit, mode, true);
+                phases[m] = [off_c2s + off_s2c, all_c2s + all_s2c - off_c2s - off_s2c];
+                if mode == GcMode::Simulated {
+                    assert_eq!((off_s2c, all_s2c), (0, 0), "{kind:?}");
+                    assert_eq!((off_flights, all_flights), (1, 2), "{kind:?}");
+                } else {
+                    assert!(off_s2c > 0 && all_s2c > off_s2c, "{kind:?}");
+                }
+            }
+            assert_eq!(phases[0], phases[1], "{kind:?}: [offline, online] simulated vs garbled");
+        }
     }
 
     #[test]

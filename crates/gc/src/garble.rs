@@ -13,11 +13,12 @@ const TABLE_BYTES: usize = 32;
 
 /// The garbled tables plus output decode bytes — everything shipped to
 /// the evaluator besides input labels — held as the wire frame itself:
-/// the header, then `[tg, te]` per AND gate in gate order (little-endian),
-/// then one decode byte per output (`0`/`1`: the color of the wire's
-/// FALSE label; `2`/`3`: a constant folded at build time). The garbler
-/// writes tables straight into the frame and the evaluator reads them in
-/// place, so no copy stands between garbling and the transport.
+/// the header, then `[tg, te]` per AND gate (little-endian) — instance by
+/// instance of the circuit's unit, in gate order within each — then one
+/// decode byte per output (`0`/`1`: the color of the wire's FALSE label;
+/// `2`/`3`: a constant folded at build time). The garbler writes tables
+/// straight into the frame and the evaluator reads them in place, so no
+/// copy stands between garbling and the transport.
 #[derive(Debug, Clone)]
 pub struct GarbledCircuit {
     /// Always `frame_len` of the circuit it was garbled or checked for.
@@ -65,10 +66,10 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Frame length of a circuit with `and_count` AND gates (a walk over the
-/// gate list, so callers count once and pass it in).
-fn frame_len(circuit: &Circuit, and_count: usize) -> usize {
-    HEADER_BYTES + TABLE_BYTES * and_count + circuit.outputs.len()
+/// Length of the frame a garbling of `circuit` is: header, two
+/// ciphertexts per AND gate, one decode byte per output.
+pub fn frame_len(circuit: &Circuit) -> usize {
+    HEADER_BYTES + TABLE_BYTES * circuit.and_count() + circuit.num_outputs()
 }
 
 impl GarbledCircuit {
@@ -76,20 +77,21 @@ impl GarbledCircuit {
     /// checked first — nothing is indexed before it holds — then the
     /// header counts and the decode bytes.
     pub fn from_frame(frame: Vec<u8>, circuit: &Circuit) -> Result<Self, FrameError> {
-        let and_count = circuit.and_count();
-        let expected = frame_len(circuit, and_count);
+        let expected = frame_len(circuit);
         if frame.len() != expected {
             return Err(FrameError::Length { expected, got: frame.len() });
         }
         let header = |at: usize| {
             u64::from_le_bytes(frame[at..at + 8].try_into().expect("8 header bytes"))
         };
-        let counts = (and_count as u64, circuit.outputs.len() as u64);
+        let counts = (circuit.and_count() as u64, circuit.num_outputs() as u64);
         if (header(0), header(8)) != counts {
             return Err(FrameError::Counts { expected: counts, got: (header(0), header(8)) });
         }
-        let decode = &frame[expected - circuit.outputs.len()..];
-        for (output, (o, &d)) in circuit.outputs.iter().zip(decode).enumerate() {
+        let decode = &frame[expected - circuit.num_outputs()..];
+        // `cycle` pairs every instance's decode bytes with the unit's
+        // outputs; `zip` stops at the last decode byte.
+        for (output, (o, &d)) in circuit.unit_outputs().iter().cycle().zip(decode).enumerate() {
             let fits = match *o {
                 OutBit::Wire(_) => d <= 1,
                 OutBit::Const(c) => d == 2 + u8::from(c),
@@ -150,57 +152,62 @@ pub fn garble_with<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (GarbledCircuit, InputEncoding) {
     let delta = sample_delta(rng);
-    let n_inputs = circuit.first_gate_wire() as usize;
-    let mut zero = Vec::with_capacity(circuit.num_wires());
-    for _ in 0..n_inputs {
-        zero.push(sample_label(rng));
-    }
+    let mut sample = |n: u32| (0..n).map(|_| sample_label(rng)).collect::<Vec<Label>>();
+    let garbler_zero = sample(circuit.garbler_inputs);
+    let evaluator_zero = sample(circuit.evaluator_inputs);
 
-    let and_count = circuit.and_count();
-    let mut frame = Vec::with_capacity(frame_len(circuit, and_count));
-    frame.extend_from_slice(&(and_count as u64).to_le_bytes());
-    frame.extend_from_slice(&(circuit.outputs.len() as u64).to_le_bytes());
+    let mut frame = Vec::with_capacity(frame_len(circuit));
+    frame.extend_from_slice(&(circuit.and_count() as u64).to_le_bytes());
+    frame.extend_from_slice(&(circuit.num_outputs() as u64).to_le_bytes());
+    let mut decode = Vec::with_capacity(circuit.num_outputs());
+    let first = circuit.unit_inputs();
+    // One unit's worth of zero-labels, overwritten instance after
+    // instance; Δ and the tweak counter run across all of them.
+    let mut zero = vec![0 as Label; circuit.unit_wires()];
     let mut tweak: u64 = 0;
     // The whole gate loop runs inside the cipher's tier, so each gate's
     // hash batch inlines here rather than being a call per gate.
     hash.in_tier(|| {
-        for gate in &circuit.gates {
-            let w0 = match *gate {
-                Gate::Xor(a, b) => zero[a as usize] ^ zero[b as usize],
-                Gate::Inv(a) => zero[a as usize] ^ delta,
-                Gate::And(a, b) => {
-                    let (a0, b0) = (zero[a as usize], zero[b as usize]);
-                    let pa = color(a0);
-                    let pb = color(b0);
-                    let j0 = tweak;
-                    let j1 = tweak + 1;
-                    tweak += 2;
-                    let [ha0, ha1, hb0, hb1] =
-                        hash.hash_batch([(a0, j0), (a0 ^ delta, j0), (b0, j1), (b0 ^ delta, j1)]);
-                    // Garbler half gate.
-                    let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
-                    let wg = ha0 ^ if pa { tg } else { 0 };
-                    // Evaluator half gate.
-                    let te = hb0 ^ hb1 ^ a0;
-                    let we = hb0 ^ if pb { te ^ a0 } else { 0 };
-                    frame.extend_from_slice(&tg.to_le_bytes());
-                    frame.extend_from_slice(&te.to_le_bytes());
-                    wg ^ we
-                }
-            };
-            zero.push(w0);
+        for r in 0..circuit.repeat() {
+            circuit.gather_inputs(r, &garbler_zero, &evaluator_zero, &mut zero);
+            for (k, gate) in circuit.unit_gates().iter().enumerate() {
+                zero[first + k] = match *gate {
+                    Gate::Xor(a, b) => zero[a as usize] ^ zero[b as usize],
+                    Gate::Inv(a) => zero[a as usize] ^ delta,
+                    Gate::And(a, b) => {
+                        let (a0, b0) = (zero[a as usize], zero[b as usize]);
+                        let pa = color(a0);
+                        let pb = color(b0);
+                        let j0 = tweak;
+                        let j1 = tweak + 1;
+                        tweak += 2;
+                        let [ha0, ha1, hb0, hb1] = hash.hash_batch([
+                            (a0, j0),
+                            (a0 ^ delta, j0),
+                            (b0, j1),
+                            (b0 ^ delta, j1),
+                        ]);
+                        // Garbler half gate.
+                        let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
+                        let wg = ha0 ^ if pa { tg } else { 0 };
+                        // Evaluator half gate.
+                        let te = hb0 ^ hb1 ^ a0;
+                        let we = hb0 ^ if pb { te ^ a0 } else { 0 };
+                        frame.extend_from_slice(&tg.to_le_bytes());
+                        frame.extend_from_slice(&te.to_le_bytes());
+                        wg ^ we
+                    }
+                };
+            }
+            decode.extend(circuit.unit_outputs().iter().map(|o| match *o {
+                OutBit::Wire(w) => u8::from(color(zero[w as usize])),
+                OutBit::Const(c) => 2 + u8::from(c),
+            }));
         }
     });
-    frame.extend(circuit.outputs.iter().map(|o| match *o {
-        OutBit::Wire(w) => u8::from(color(zero[w as usize])),
-        OutBit::Const(c) => 2 + u8::from(c),
-    }));
+    frame.extend_from_slice(&decode);
 
-    let encoding = InputEncoding {
-        garbler_zero: zero[..circuit.garbler_inputs as usize].to_vec(),
-        evaluator_zero: zero[circuit.garbler_inputs as usize..n_inputs].to_vec(),
-        delta,
-    };
+    let encoding = InputEncoding { garbler_zero, evaluator_zero, delta };
     (GarbledCircuit { frame }, encoding)
 }
 
@@ -232,53 +239,48 @@ pub fn evaluate_with(
     assert_eq!(evaluator_labels.len(), circuit.evaluator_inputs as usize, "evaluator labels");
     // The one check the table reads below rest on: with the frame at this
     // length, `chunks_exact` yields exactly one table per AND gate.
-    let and_count = circuit.and_count();
-    assert_eq!(
-        garbled.frame.len(),
-        frame_len(circuit, and_count),
-        "garbled frame is for another circuit"
-    );
-    let (tables, decode) = garbled.frame[HEADER_BYTES..].split_at(TABLE_BYTES * and_count);
+    assert_eq!(garbled.frame.len(), frame_len(circuit), "garbled frame is for another circuit");
+    let (tables, decode) =
+        garbled.frame[HEADER_BYTES..].split_at(TABLE_BYTES * circuit.and_count());
     let mut tables = tables.chunks_exact(TABLE_BYTES);
-    let mut wires = Vec::with_capacity(circuit.num_wires());
-    wires.extend_from_slice(garbler_labels);
-    wires.extend_from_slice(evaluator_labels);
+    let mut decode = decode.iter();
+    let first = circuit.unit_inputs();
+    let mut wires = vec![0 as Label; circuit.unit_wires()];
+    let mut out = Vec::with_capacity(circuit.num_outputs());
 
     let mut tweak: u64 = 0;
     hash.in_tier(|| {
-        for gate in &circuit.gates {
-            let w = match *gate {
-                Gate::Xor(a, b) => wires[a as usize] ^ wires[b as usize],
-                Gate::Inv(a) => wires[a as usize],
-                Gate::And(a, b) => {
-                    let (la, lb) = (wires[a as usize], wires[b as usize]);
-                    let sa = color(la);
-                    let sb = color(lb);
-                    let (tg, te) = tables.next().expect("one table per AND gate").split_at(16);
-                    let tg = u128::from_le_bytes(tg.try_into().expect("16-byte ciphertext"));
-                    let te = u128::from_le_bytes(te.try_into().expect("16-byte ciphertext"));
-                    let j0 = tweak;
-                    let j1 = tweak + 1;
-                    tweak += 2;
-                    let [ha, hb] = hash.hash_batch([(la, j0), (lb, j1)]);
-                    let wg = ha ^ if sa { tg } else { 0 };
-                    let we = hb ^ if sb { te ^ la } else { 0 };
-                    wg ^ we
-                }
-            };
-            wires.push(w);
+        for r in 0..circuit.repeat() {
+            circuit.gather_inputs(r, garbler_labels, evaluator_labels, &mut wires);
+            for (k, gate) in circuit.unit_gates().iter().enumerate() {
+                wires[first + k] = match *gate {
+                    Gate::Xor(a, b) => wires[a as usize] ^ wires[b as usize],
+                    Gate::Inv(a) => wires[a as usize],
+                    Gate::And(a, b) => {
+                        let (la, lb) = (wires[a as usize], wires[b as usize]);
+                        let sa = color(la);
+                        let sb = color(lb);
+                        let (tg, te) =
+                            tables.next().expect("one table per AND gate").split_at(16);
+                        let tg = u128::from_le_bytes(tg.try_into().expect("16-byte ciphertext"));
+                        let te = u128::from_le_bytes(te.try_into().expect("16-byte ciphertext"));
+                        let j0 = tweak;
+                        let j1 = tweak + 1;
+                        tweak += 2;
+                        let [ha, hb] = hash.hash_batch([(la, j0), (lb, j1)]);
+                        let wg = ha ^ if sa { tg } else { 0 };
+                        let we = hb ^ if sb { te ^ la } else { 0 };
+                        wg ^ we
+                    }
+                };
+            }
+            out.extend(circuit.unit_outputs().iter().zip(&mut decode).map(|(o, &d)| match *o {
+                OutBit::Wire(w) => color(wires[w as usize]) ^ (d & 1 == 1),
+                OutBit::Const(c) => c,
+            }));
         }
     });
-
-    circuit
-        .outputs
-        .iter()
-        .zip(decode)
-        .map(|(o, &d)| match *o {
-            OutBit::Wire(w) => color(wires[w as usize]) ^ (d & 1 == 1),
-            OutBit::Const(c) => c,
-        })
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -286,6 +288,24 @@ mod tests {
     use super::*;
     use crate::builder::{from_bits_signed, to_bits, CircuitBuilder};
     use primer_math::rng::seeded;
+
+    /// The labels the evaluator holds for the given input bits.
+    fn labels(enc: &InputEncoding, gi: &[bool], ei: &[bool]) -> (Vec<Label>, Vec<Label>) {
+        let gl = gi.iter().enumerate().map(|(i, &v)| enc.garbler_label(i, v)).collect();
+        let el = ei
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let (l0, l1) = enc.evaluator_pair(i);
+                if v {
+                    l1
+                } else {
+                    l0
+                }
+            })
+            .collect();
+        (gl, el)
+    }
 
     /// Garbled evaluation must agree with plain evaluation on every input
     /// combination for a 1-bit AND/XOR/INV mix.
@@ -306,19 +326,7 @@ mod tests {
             let gi = [(bits & 1) != 0, (bits & 2) != 0];
             let ei = [(bits & 4) != 0, (bits & 8) != 0];
             let want = circuit.eval_plain(&gi, &ei);
-            let gl: Vec<_> = gi.iter().enumerate().map(|(i, &v)| enc.garbler_label(i, v)).collect();
-            let el: Vec<_> = ei
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let (l0, l1) = enc.evaluator_pair(i);
-                    if v {
-                        l1
-                    } else {
-                        l0
-                    }
-                })
-                .collect();
+            let (gl, el) = labels(&enc, &gi, &ei);
             let got = evaluate(&circuit, &garbled, &gl, &el);
             assert_eq!(got, want, "inputs {bits:04b}");
         }
@@ -337,19 +345,7 @@ mod tests {
         for (a, c) in [(100i64, 200i64), (-1000, 999), (2047, 2047), (-2048, -1)] {
             let gi = to_bits(a, width);
             let ei = to_bits(c, width);
-            let gl: Vec<_> = gi.iter().enumerate().map(|(i, &v)| enc.garbler_label(i, v)).collect();
-            let el: Vec<_> = ei
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    let (l0, l1) = enc.evaluator_pair(i);
-                    if v {
-                        l1
-                    } else {
-                        l0
-                    }
-                })
-                .collect();
+            let (gl, el) = labels(&enc, &gi, &ei);
             let got = from_bits_signed(&evaluate(&circuit, &garbled, &gl, &el));
             let m = 1i64 << width;
             let want = (((a + c) % m) + m) % m;
@@ -369,7 +365,7 @@ mod tests {
         let (garbled, _) = garble(&circuit, &mut rng);
         let frame = garbled.as_bytes();
         assert_eq!(frame[..8], (circuit.and_count() as u64).to_le_bytes());
-        assert_eq!(frame.len(), 16 + circuit.garbled_size_bytes() + circuit.outputs.len());
+        assert_eq!(frame.len(), 16 + circuit.garbled_size_bytes() + circuit.num_outputs());
     }
     /// A frame that is short, over-long or lies about its counts is turned
     /// away by `from_frame` — the evaluator's loop never sees it.
@@ -399,7 +395,7 @@ mod tests {
         // give it away, and trimmed to the length it claims it is short.
         let mut forged = good.clone();
         forged[..8].copy_from_slice(&(ands as u64 - 1).to_le_bytes());
-        let outputs = circuit.outputs.len() as u64;
+        let outputs = circuit.num_outputs() as u64;
         assert_eq!(
             GarbledCircuit::from_frame(forged.clone(), &circuit).map(drop),
             Err(FrameError::Counts {
@@ -412,16 +408,71 @@ mod tests {
 
         // A wire output whose decode byte says "constant".
         let wire_out = circuit
-            .outputs
+            .unit_outputs()
             .iter()
             .position(|o| matches!(o, OutBit::Wire(_)))
             .expect("a multiplier has wire outputs");
         let mut bad_decode = good;
-        bad_decode[expected - circuit.outputs.len() + wire_out] = 2;
+        bad_decode[expected - circuit.num_outputs() + wire_out] = 2;
         assert_eq!(
             GarbledCircuit::from_frame(bad_decode, &circuit).map(drop),
             Err(FrameError::Decode { output: wire_out })
         );
+    }
+
+    /// A frame garbled for the same unit at another `repeat` is not a
+    /// garbling of this circuit: its length gives it away, and cut or
+    /// padded to the right length its header does.
+    #[test]
+    fn a_frame_for_another_repeat_is_rejected() {
+        let adder = |repeat: usize| {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_input(4);
+            let y = b.evaluator_input(4);
+            let s = b.add(&x, &y);
+            b.build(&s).repeated(repeat, &[4], &[4])
+        };
+        let (two, three) = (adder(2), adder(3));
+        let frame = garble(&three, &mut seeded(105)).0.into_frame();
+        assert!(GarbledCircuit::from_frame(frame.clone(), &three).is_ok());
+        let expected = frame_len(&two);
+        assert_eq!(
+            GarbledCircuit::from_frame(frame.clone(), &two).map(drop),
+            Err(FrameError::Length { expected, got: frame_len(&three) })
+        );
+        let mut cut = frame;
+        cut.truncate(expected);
+        let counts = |c: &Circuit| (c.and_count() as u64, c.num_outputs() as u64);
+        assert_eq!(
+            GarbledCircuit::from_frame(cut, &two).map(drop),
+            Err(FrameError::Counts { expected: counts(&two), got: counts(&three) })
+        );
+    }
+
+    /// Every instance of a repeated unit is garbled under its own tweaks
+    /// and labels, and evaluates to the plain result for its own inputs.
+    #[test]
+    fn repeated_unit_garbles_each_instance_for_its_own_inputs() {
+        let mut b = CircuitBuilder::new();
+        let x = b.garbler_input(6);
+        let m = b.garbler_input(6);
+        let y = b.evaluator_input(6);
+        let p = b.mul(&x, &y);
+        let out = b.xor_word(&p, &m);
+        let circuit = b.build(&out).repeated(5, &[6, 6], &[6]);
+        let mut rng = seeded(106);
+        let gi: Vec<bool> = (0..circuit.garbler_inputs).map(|_| rng.gen()).collect();
+        let ei: Vec<bool> = (0..circuit.evaluator_inputs).map(|_| rng.gen()).collect();
+        let (garbled, enc) = garble(&circuit, &mut rng);
+        // Same unit, same Δ — but no two instances share a table.
+        let tables = &garbled.as_bytes()[HEADER_BYTES..][..TABLE_BYTES * circuit.and_count()];
+        let per_instance = TABLE_BYTES * circuit.unit_and_count();
+        let mut seen: Vec<&[u8]> = tables.chunks(per_instance).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 5);
+        let (gl, el) = labels(&enc, &gi, &ei);
+        assert_eq!(evaluate(&circuit, &garbled, &gl, &el), circuit.eval_plain(&gi, &ei));
     }
 
     /// `evaluate` refuses a garbling of a circuit of another shape.

@@ -49,6 +49,11 @@ impl OtGroup {
         }
     }
 
+    /// Bytes of one group element on the wire.
+    pub fn element_bytes(&self) -> usize {
+        self.limbs * 8
+    }
+
     fn random_exponent<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u8> {
         // Exponents one limb short of p keep values < p without bias
         // concerns that matter here.
@@ -71,6 +76,13 @@ fn hash_to_key(aes: &Aes128, elem: &BigUint, tweak: u64) -> u128 {
         h = aes.encrypt_block(h ^ m) ^ h ^ m;
     }
     h
+}
+
+/// Bytes `count` base OTs put on the wire, both directions together: the
+/// sender's `A`, then per OT the receiver's `B` and the two masked
+/// messages.
+pub fn base_ot_bytes(group: &OtGroup, count: usize) -> usize {
+    group.element_bytes() * (1 + count) + 32 * count
 }
 
 /// Sender side of `choices.len()` base OTs; `pairs[i]` are the two

@@ -9,7 +9,7 @@
 
 use crate::aes::Aes128;
 use crate::label::Label;
-use crate::ot::base::{base_ot_receive, base_ot_send, OtGroup};
+use crate::ot::base::{base_ot_bytes, base_ot_receive, base_ot_send, OtGroup};
 use primer_net::Transport;
 use rand::Rng;
 
@@ -92,6 +92,18 @@ pub struct RotReceiver {
 pub struct RotSender {
     pairs: Vec<(Label, Label)>,
     used: usize,
+}
+
+/// Bytes the offline set-up of `count` random OTs ships, both directions
+/// together: the 128 base OTs, then the 128 correction columns.
+pub fn rot_offline_bytes(group: &OtGroup, count: usize) -> usize {
+    base_ot_bytes(group, KAPPA) + KAPPA * count.div_ceil(128) * 16
+}
+
+/// Bytes derandomizing `count` OTs ships: the flip bits one way, two
+/// masked labels per OT the other.
+pub fn rot_online_bytes(count: usize) -> usize {
+    count.div_ceil(8) + 32 * count
 }
 
 /// Offline: runs base OTs + IKNP to set up `count` random OTs.

@@ -11,11 +11,26 @@
 //!          computations online" property for the GC phase.
 
 use crate::circuit::Circuit;
-use crate::garble::{evaluate, garble, GarbledCircuit, InputEncoding};
+use crate::garble::{evaluate, frame_len, garble, GarbledCircuit, InputEncoding};
 use crate::label::Label;
-use crate::ot::{rot_receiver_offline, rot_sender_offline, OtGroup, RotReceiver, RotSender};
+use crate::ot::{
+    rot_offline_bytes, rot_online_bytes, rot_receiver_offline, rot_sender_offline, OtGroup,
+    RotReceiver, RotSender,
+};
 use primer_net::Transport;
 use rand::Rng;
+
+/// Bytes the offline phase of `circuit` ships, both directions together:
+/// the garbled frame and the random-OT set-up for the evaluator's inputs.
+pub fn offline_bytes(circuit: &Circuit, group: &OtGroup) -> usize {
+    frame_len(circuit) + rot_offline_bytes(group, circuit.evaluator_inputs as usize)
+}
+
+/// Bytes the online phase of `circuit` ships, both directions together:
+/// one label per garbler input and the OT derandomization.
+pub fn online_bytes(circuit: &Circuit) -> usize {
+    16 * circuit.garbler_inputs as usize + rot_online_bytes(circuit.evaluator_inputs as usize)
+}
 
 /// Client-side (garbler) session state after the offline phase.
 #[derive(Debug)]

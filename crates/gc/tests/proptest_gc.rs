@@ -2,9 +2,27 @@
 //! garbled evaluation vs plain evaluation.
 
 use primer_gc::builder::{from_bits_signed, to_bits, CircuitBuilder};
+use primer_gc::circuit::{Gate, OutBit};
 use primer_gc::garble::{evaluate, garble};
+use primer_gc::Circuit;
 use primer_math::rng::seeded;
 use proptest::prelude::*;
+use rand::Rng;
+
+/// Garbles `c` and evaluates it on the labels of the given input bits.
+fn garbled_eval(c: &Circuit, g_bits: &[bool], e_bits: &[bool], seed: u64) -> Vec<bool> {
+    let (garbled, enc) = garble(c, &mut seeded(seed));
+    let gl: Vec<u128> = g_bits.iter().enumerate().map(|(i, &v)| enc.garbler_label(i, v)).collect();
+    let el: Vec<u128> = e_bits
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let (l0, l1) = enc.evaluator_pair(i);
+            if v { l1 } else { l0 }
+        })
+        .collect();
+    evaluate(c, &garbled, &gl, &el)
+}
 
 fn wrap(v: i64, width: usize) -> i64 {
     let m = 1i64 << width;
@@ -53,24 +71,60 @@ proptest! {
         let c = bld.build(&mx);
         let want = c.eval_plain(&to_bits(a, width), &to_bits(b, width));
 
-        let mut rng = seeded(seed);
-        let (garbled, enc) = garble(&c, &mut rng);
-        let gl: Vec<u128> = to_bits(a, width)
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| enc.garbler_label(i, v))
-            .collect();
-        let el: Vec<u128> = to_bits(b, width)
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let (l0, l1) = enc.evaluator_pair(i);
-                if v { l1 } else { l0 }
-            })
-            .collect();
-        let got = evaluate(&c, &garbled, &gl, &el);
+        let got = garbled_eval(&c, &to_bits(a, width), &to_bits(b, width), seed);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(from_bits_signed(&got), a.max(b));
+    }
+
+    /// Dead-gate removal changes nothing observable: over random gate
+    /// lists — most of whose gates feed no output — the compacted unit
+    /// equals the list as given under plain evaluation and under
+    /// garble → evaluate, run once or repeated.
+    #[test]
+    fn compacted_equals_uncompacted(
+        seed in 0u64..1_000_000,
+        n_gates in 1usize..160,
+        repeat in 1usize..4,
+    ) {
+        let mut rng = seeded(seed);
+        let (g_in, e_in) = (rng.gen_range(1..5u32), rng.gen_range(1..5u32));
+        let first = g_in + e_in;
+        let gates: Vec<Gate> = (0..n_gates as u32)
+            .map(|k| {
+                let (a, b) = (rng.gen_range(0..first + k), rng.gen_range(0..first + k));
+                match rng.gen_range(0..3) {
+                    0 => Gate::Xor(a, b),
+                    1 => Gate::And(a, b),
+                    _ => Gate::Inv(a),
+                }
+            })
+            .collect();
+        let outputs: Vec<OutBit> = (0..rng.gen_range(1..6))
+            .map(|_| match rng.gen_range(0..8) {
+                0 => OutBit::Const(rng.gen()),
+                _ => OutBit::Wire(rng.gen_range(0..first + n_gates as u32)),
+            })
+            .collect();
+        let planes = ([g_in as usize], [e_in as usize]);
+        let raw = Circuit::from_gates(g_in, e_in, gates, outputs);
+        let small = raw.clone().compact().repeated(repeat, &planes.0, &planes.1);
+        let raw = raw.repeated(repeat, &planes.0, &planes.1);
+        prop_assert_eq!(small.unreachable_gates(), 0);
+        prop_assert_eq!(
+            small.unit_gates().len() + raw.unreachable_gates(),
+            raw.unit_gates().len()
+        );
+        prop_assert_eq!(
+            (small.garbler_inputs, small.evaluator_inputs, small.num_outputs()),
+            (raw.garbler_inputs, raw.evaluator_inputs, raw.num_outputs())
+        );
+
+        let g_bits: Vec<bool> = (0..raw.garbler_inputs).map(|_| rng.gen()).collect();
+        let e_bits: Vec<bool> = (0..raw.evaluator_inputs).map(|_| rng.gen()).collect();
+        let want = raw.eval_plain(&g_bits, &e_bits);
+        prop_assert_eq!(&small.eval_plain(&g_bits, &e_bits), &want);
+        prop_assert_eq!(&garbled_eval(&raw, &g_bits, &e_bits, seed), &want);
+        prop_assert_eq!(&garbled_eval(&small, &g_bits, &e_bits, seed), &want);
     }
 
     /// Ring gadgets: add_mod/sub_mod match Z_t for arbitrary elements.
