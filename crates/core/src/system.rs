@@ -28,10 +28,10 @@ pub enum ConfigError {
     },
     /// `PRIMER_SIMD` is set to something other than
     /// `scalar|avx2|avx512|auto` (or the legacy `0|off|1|on`). Rejected
-    /// at assembly for the same reason as
-    /// [`ConfigError::InvalidLayoutPolicy`]: a typo'd kernel-tier
-    /// experiment should fail at session Setup, not panic inside the
-    /// first SIMD dispatch.
+    /// at assembly, before the HE context that fixes the tier is built,
+    /// for the same reason as [`ConfigError::InvalidLayoutPolicy`]: a
+    /// typo'd kernel-tier experiment should fail at session Setup, not
+    /// panic.
     InvalidSimdPolicy {
         /// The offending value, verbatim.
         value: String,
@@ -105,9 +105,8 @@ impl SystemConfig {
     ///
     /// [`ConfigError`] if the model's tokens cannot be packed.
     pub fn test_profile(model: &TransformerConfig) -> Result<Self, ConfigError> {
-        let he = HeContext::new(HeParams::test_2k_wide());
         let fixed = FixedSpec::new(12, 5);
-        Self::assemble(model, he, fixed, 12, OtGroupKind::Modp768)
+        Self::assemble(model, HeParams::test_2k_wide(), fixed, 12, OtGroupKind::Modp768)
     }
 
     /// Paper-scale profile: `n = 8192`, 43-bit plaintext, the paper's
@@ -117,19 +116,18 @@ impl SystemConfig {
     ///
     /// [`ConfigError`] if the model's tokens cannot be packed.
     pub fn paper_profile(model: &TransformerConfig) -> Result<Self, ConfigError> {
-        let he = HeContext::new(HeParams::paper_8k());
-        Self::assemble(model, he, FixedSpec::paper(), 12, OtGroupKind::Modp2048)
+        Self::assemble(model, HeParams::paper_8k(), FixedSpec::paper(), 12, OtGroupKind::Modp2048)
     }
 
     fn assemble(
         model: &TransformerConfig,
-        he: HeContext,
+        params: HeParams,
         fixed: FixedSpec,
         gc_frac: u32,
         ot_group: OtGroupKind,
     ) -> Result<Self, ConfigError> {
         let padded = model.n_tokens.next_power_of_two();
-        let slots = he.params().row_size();
+        let slots = params.row_size();
         if padded > slots {
             return Err(ConfigError::TokensExceedSlots { padded, slots });
         }
@@ -139,10 +137,13 @@ impl SystemConfig {
         if let Err(value) = crate::costmodel::layout::LayoutPolicy::from_env() {
             return Err(ConfigError::InvalidLayoutPolicy { value });
         }
-        // Same early rejection for the SIMD tier override.
+        // Same early rejection for the SIMD tier, which the context
+        // built below fixes for its lifetime: validating first keeps a
+        // typo a typed error instead of `simd::level()`'s panic.
         if let Err(value) = primer_he::simd::SimdPolicy::from_env() {
             return Err(ConfigError::InvalidSimdPolicy { value });
         }
+        let he = HeContext::new(params);
         let ring = Ring::new(he.params().t());
         let pipeline = PipelineSpec::new(ring, fixed, gc_frac);
         Ok(Self {

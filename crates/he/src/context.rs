@@ -3,6 +3,7 @@
 use crate::modulus::Modulus;
 use crate::ntt::NttTables;
 use crate::params::HeParams;
+use crate::simd::{self, SimdLevel};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -12,9 +13,13 @@ use std::sync::{Arc, Mutex};
 ///
 /// Contexts are cheap to clone (`Arc` inside) and shared by every key,
 /// ciphertext operation and encoder.
+///
+/// A context also fixes the SIMD tier its kernels run at ([`Self::simd`]),
+/// read from `PRIMER_SIMD` once, when the context is built.
 #[derive(Debug, Clone)]
 pub struct HeContext {
     inner: Arc<Inner>,
+    simd: SimdLevel,
 }
 
 #[derive(Debug)]
@@ -44,7 +49,13 @@ struct Inner {
 }
 
 impl HeContext {
-    /// Builds the context for a parameter set.
+    /// Builds the context for a parameter set, at the SIMD tier
+    /// [`simd::level`] resolves from `PRIMER_SIMD`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unparseable `PRIMER_SIMD` (config assembly rejects
+    /// one as a typed error before it gets here).
     pub fn new(params: HeParams) -> Self {
         let moduli: Vec<Modulus> = params.moduli().iter().map(|&q| Modulus::new(q)).collect();
         let ntt = moduli.iter().map(|m| NttTables::new(params.n(), *m)).collect();
@@ -83,7 +94,24 @@ impl HeContext {
                 garner_inv,
                 galois_perms: Mutex::new(HashMap::new()),
             }),
+            simd: simd::level(),
         }
+    }
+
+    /// This context with its kernels pinned to `lvl`, sharing every
+    /// table with `self` — how tests pick a tier without touching the
+    /// environment. Like any [`SimdLevel`], a tier the CPU lacks degrades
+    /// at each kernel call.
+    pub fn with_simd(mut self, lvl: SimdLevel) -> Self {
+        self.simd = lvl;
+        self
+    }
+
+    /// The SIMD tier every polynomial, encoder and evaluator op on this
+    /// context runs its kernels at.
+    #[inline]
+    pub fn simd(&self) -> SimdLevel {
+        self.simd
     }
 
     /// The parameter set.

@@ -46,7 +46,7 @@ impl BatchEncoder {
         // the polynomial "x".
         let mut x_poly = vec![0u64; n];
         x_poly[1] = 1;
-        ctx.plain_ntt().forward(&mut x_poly);
+        ctx.plain_ntt().forward_at(&mut x_poly, ctx.simd());
 
         // Discrete logs base psi (a primitive 2n-th root mod t).
         let psi = t.primitive_root(two_n);
@@ -111,8 +111,8 @@ impl BatchEncoder {
             padded[s] = v;
         }
         let mut buf = vec![0u64; n];
-        simd::gather(&padded, &self.slot_of_pos, &mut buf, simd::level());
-        self.ctx.plain_ntt().inverse(&mut buf);
+        simd::gather(&padded, &self.slot_of_pos, &mut buf, self.ctx.simd());
+        self.ctx.plain_ntt().inverse_at(&mut buf, self.ctx.simd());
         Plaintext::from_coeffs(buf)
     }
 
@@ -126,9 +126,9 @@ impl BatchEncoder {
     /// Decodes a plaintext back to all `slot_count` slot values.
     pub fn decode(&self, plain: &Plaintext) -> Vec<u64> {
         let mut buf = plain.coeffs().to_vec();
-        self.ctx.plain_ntt().forward(&mut buf);
+        self.ctx.plain_ntt().forward_at(&mut buf, self.ctx.simd());
         let mut out = vec![0u64; buf.len()];
-        simd::gather(&buf, &self.pos_of_slot, &mut out, simd::level());
+        simd::gather(&buf, &self.pos_of_slot, &mut out, self.ctx.simd());
         out
     }
 

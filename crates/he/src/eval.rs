@@ -476,7 +476,7 @@ impl Evaluator {
             ctx.moduli().iter().map(|m| digits_for_prime(m.value(), w) as u64).sum();
         self.counters.bump(|c| c.ntt += total_digits);
         let mask = ((1u128 << w) - 1) as u64;
-        let lvl = crate::simd::level();
+        let lvl = ctx.simd();
         // Scratch row shared by every digit: one vectorized extraction
         // per digit, then a straight copy into each prime row (d < 2^w <
         // every q_p, so the same row is a valid residue everywhere).

@@ -110,7 +110,9 @@ impl NttTables {
     }
 
     /// In-place forward negacyclic NTT (coefficients → evaluations),
-    /// at the runtime-detected SIMD level (`PRIMER_SIMD` overridable).
+    /// at the tier [`simd::level`] resolves from `PRIMER_SIMD` — a
+    /// convenience for callers without a context. Everything inside the
+    /// HE layer calls [`Self::forward_at`] with its context's tier.
     ///
     /// # Panics
     ///
@@ -119,9 +121,8 @@ impl NttTables {
         self.forward_at(a, simd::level());
     }
 
-    /// [`Self::forward`] at an explicit SIMD level. Scalar and AVX2 are
-    /// bit-identical; this entry point exists so the bit-identity suite
-    /// can pin both sides without racing on the environment.
+    /// [`Self::forward`] at an explicit SIMD level. Every level is
+    /// bit-identical; the level only picks the kernel body.
     ///
     /// # Panics
     ///
@@ -146,7 +147,7 @@ impl NttTables {
     }
 
     /// In-place inverse negacyclic NTT (evaluations → coefficients),
-    /// at the runtime-detected SIMD level (`PRIMER_SIMD` overridable).
+    /// at the tier [`simd::level`] resolves (see [`Self::forward`]).
     ///
     /// # Panics
     ///

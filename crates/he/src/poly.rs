@@ -41,7 +41,7 @@ impl RnsPoly {
             // trip collapses to a branchless select per limb —
             // `c > t/2 ? q_i − t + c : c` — bit-identical to
             // `from_signed(to_signed(c))`.
-            let lvl = simd::level();
+            let lvl = ctx.simd();
             let values = ctx
                 .moduli()
                 .iter()
@@ -91,7 +91,7 @@ impl RnsPoly {
             // `(Δ mod q_i)·m + rt (mod q_i)` — a Shoup multiply by the
             // cached `Δ mod q_i` plus a lazy add. The rounding term is
             // computed once per coefficient (u128, shared by all limbs).
-            let lvl = simd::level();
+            let lvl = ctx.simd();
             let rt: Vec<u64> = plain_coeffs
                 .iter()
                 .map(|&c| {
@@ -185,7 +185,7 @@ impl RnsPoly {
     pub fn to_ntt(&mut self, ctx: &HeContext) {
         if !self.ntt_form {
             for (tbl, v) in ctx.ntt().iter().zip(&mut self.values) {
-                tbl.forward(v);
+                tbl.forward_at(v, ctx.simd());
             }
             self.ntt_form = true;
         }
@@ -195,7 +195,7 @@ impl RnsPoly {
     pub fn to_coeff(&mut self, ctx: &HeContext) {
         if self.ntt_form {
             for (tbl, v) in ctx.ntt().iter().zip(&mut self.values) {
-                tbl.inverse(v);
+                tbl.inverse_at(v, ctx.simd());
             }
             self.ntt_form = false;
         }
@@ -204,7 +204,7 @@ impl RnsPoly {
     /// `self += other` (forms must match).
     pub fn add_assign(&mut self, ctx: &HeContext, other: &Self) {
         assert_eq!(self.ntt_form, other.ntt_form, "form mismatch in add");
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for ((m, a), b) in ctx.moduli().iter().zip(&mut self.values).zip(&other.values) {
             simd::add_mod(*m, a, b, lvl);
         }
@@ -213,7 +213,7 @@ impl RnsPoly {
     /// `self -= other` (forms must match).
     pub fn sub_assign(&mut self, ctx: &HeContext, other: &Self) {
         assert_eq!(self.ntt_form, other.ntt_form, "form mismatch in sub");
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for ((m, a), b) in ctx.moduli().iter().zip(&mut self.values).zip(&other.values) {
             simd::sub_mod(*m, a, b, lvl);
         }
@@ -221,7 +221,7 @@ impl RnsPoly {
 
     /// `self = -self`.
     pub fn negate(&mut self, ctx: &HeContext) {
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for (m, a) in ctx.moduli().iter().zip(&mut self.values) {
             simd::neg_mod(*m, a, lvl);
         }
@@ -230,7 +230,7 @@ impl RnsPoly {
     /// Pointwise product (both operands must be in NTT form).
     pub fn mul_pointwise_assign(&mut self, ctx: &HeContext, other: &Self) {
         assert!(self.ntt_form && other.ntt_form, "pointwise mul needs NTT form");
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for ((m, a), b) in ctx.moduli().iter().zip(&mut self.values).zip(&other.values) {
             simd::mul_mod(*m, a, b, lvl);
         }
@@ -240,7 +240,7 @@ impl RnsPoly {
     /// allocation — the accumulation pattern of encrypted matmul.
     pub fn add_mul_pointwise_assign(&mut self, ctx: &HeContext, a: &Self, b: &Self) {
         assert!(self.ntt_form && a.ntt_form && b.ntt_form, "needs NTT form");
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for (((m, acc), x), y) in
             ctx.moduli().iter().zip(&mut self.values).zip(&a.values).zip(&b.values)
         {
@@ -270,7 +270,7 @@ impl RnsPoly {
             acc0.ntt_form && acc1.ntt_form && x.ntt_form && b.ntt_form && a.ntt_form,
             "needs NTT form"
         );
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         let mut limbs: Vec<simd::KsLimb<'_>> = ctx
             .moduli()
             .iter()
@@ -317,7 +317,7 @@ impl RnsPoly {
         assert!(self.ntt_form, "NTT-domain automorphism needs NTT form");
         assert_eq!(perm.len(), ctx.n(), "permutation length mismatch");
         assert_eq!(out.values.len(), self.values.len(), "prime count mismatch");
-        let lvl = simd::level();
+        let lvl = ctx.simd();
         for (src, dst) in self.values.iter().zip(&mut out.values) {
             assert_eq!(dst.len(), perm.len(), "residue length mismatch");
             simd::gather(src, perm, dst, lvl);
@@ -479,6 +479,29 @@ mod tests {
         for &c in s.residues(0) {
             assert!(m.to_signed(c).abs() <= 1);
         }
+    }
+
+    /// A context's tier is a pure performance knob: one op sequence on a
+    /// context pinned to scalar and on one at the best tier the CPU has
+    /// gives equal polys.
+    #[test]
+    fn scalar_and_best_tier_contexts_agree() {
+        use crate::simd::{SimdLevel, SimdPolicy};
+        let best = HeContext::new(HeParams::test_2k()).with_simd(SimdPolicy::Auto.level());
+        let scalar = best.clone().with_simd(SimdLevel::Scalar);
+        let run = |ctx: &HeContext| {
+            let mut rng = seeded(26);
+            let mut polys: Vec<RnsPoly> = (0..4).map(|_| RnsPoly::uniform(ctx, &mut rng)).collect();
+            polys.iter_mut().for_each(|p| p.to_ntt(ctx));
+            let [mut a, b, mut acc0, mut acc1] = <[RnsPoly; 4]>::try_from(polys).expect("4 polys");
+            a.mul_pointwise_assign(ctx, &b);
+            RnsPoly::add_mul2_pointwise_assign(ctx, &mut acc0, &mut acc1, &a, &b, &a);
+            let mut out = acc0.permute_ntt(ctx, &ctx.galois_perm(3));
+            out.add_assign(ctx, &acc1);
+            out.to_coeff(ctx);
+            out
+        };
+        assert_eq!(run(&scalar), run(&best), "best tier {:?}", best.simd());
     }
 
     #[test]

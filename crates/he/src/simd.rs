@@ -1,64 +1,55 @@
 //! Runtime-dispatched SIMD kernels for the modular hot loops.
 //!
-//! PR 5 made the HE pipeline NTT-resident, so essentially all hot-path
-//! time is pointwise `u64` arithmetic over RNS limbs: NTT butterflies
-//! (Shoup multiplication), pointwise multiply (Barrett), ciphertext
-//! add/sub, key-switch digit extraction/accumulation, base conversion
-//! and the encode/decode permutations. This module hand-rolls AVX2 and
-//! AVX-512 versions of exactly those loops with `std::arch`, behind a
-//! scalar fallback, under one invariant:
+//! Essentially all HE hot-path time is pointwise `u64` arithmetic over
+//! RNS limbs: NTT butterflies (Shoup multiplication), pointwise multiply
+//! (Barrett), ciphertext add/sub, key-switch digit extraction and
+//! accumulation, base conversion and the encode/decode permutations.
+//! Each of those 13 loops is written **once**, as a generic
+//! `#[inline(always)]` body over a private `Lane` trait, and
+//! instantiated inside one `#[target_feature]` wrapper per lane type.
+//! The [`scalar`] module is the reference semantics, the remainder tail
+//! of every vector body and the non-x86 path.
+//!
+//! | lane type    | lanes | features                      | 64×64→128 product                   |
+//! |--------------|-------|-------------------------------|-------------------------------------|
+//! | `Avx2`       | 4×64  | `avx2`                        | four `vpmuludq` partial products    |
+//! | `Avx512Dq`   | 8×64  | `avx512f,avx512dq`            | `vpmuludq` partials + `vpmullq` low |
+//! | `Avx512Ifma` | 8×64  | `avx512f,avx512dq,avx512ifma` | `vpmadd52{lo,hi}` on 52-bit limbs   |
+//!
+//! Each lane type keeps its ISA's idiom behind the trait: AVX-512
+//! compares into mask registers, AVX2 compares unsigned through a
+//! sign-bit flip and `vpcmpgtq`. All three stay because each is the only
+//! vector body on some CPU (DESIGN.md §11 has the IFMA vs DQ numbers).
 //!
 //! > **Bit identity.** For every input, every vector kernel produces the
-//! > same bytes as the scalar kernel — the same guarantee the PR 4
-//! > thread pool gives for thread counts. SIMD width is a pure
-//! > performance knob; wire bytes and logits never depend on it.
+//! > same bytes as the scalar kernel. SIMD width is a pure performance
+//! > knob; wire bytes and logits never depend on it.
 //!
-//! The invariant holds by construction, not by rounding luck: every
-//! kernel ends in a *canonical* residue in `[0, p)`.
-//!
-//! * add/sub/neg and the butterflies use the identical `+p` / conditional-
-//!   subtract branch structure as the scalar code, just 4 or 8 lanes wide.
-//! * Shoup multiplication uses the identical `q = mulhi(x, w_shoup)`;
-//!   `r = x·w − q·p (mod 2^64)`; one conditional subtract.
-//! * Pointwise multiply differs in *algorithm* (lane-wise Barrett with the
-//!   cached [`Modulus::barrett_mu`] vs the scalar `u128 %`) but both fully
-//!   reduce, and the canonical residue of `a·b mod p` is unique.
-//! * The AVX-512 tier has two interchangeable 64×64→128 product
-//!   implementations — `_mm512_mul_epu32` partial products, or an IFMA
-//!   `vpmadd52{lo,hi}` 52-bit-limb synthesis picked at dispatch when the
-//!   CPU reports `avx512ifma` — and both compute the *exact* integer
-//!   product, so the choice is invisible in the output.
+//! It holds by construction: every kernel ends in the *canonical*
+//! residue in `[0, p)`. Add/sub/neg, Shoup multiplication and the
+//! butterflies use the scalar code's exact branch structure, lane-wise.
+//! Pointwise multiply is lane-wise Barrett with the cached
+//! [`Modulus::barrett_mu`] against the scalar `u128 %`; both fully
+//! reduce, and all three product syntheses compute the exact 128-bit
+//! product.
 //!
 //! # Tiers and dispatch
 //!
-//! | tier     | lanes | requires                          |
-//! |----------|-------|-----------------------------------|
-//! | `scalar` | 1     | nothing (reference semantics)     |
-//! | `avx2`   | 4×64  | `avx2`                            |
-//! | `avx512` | 8×64  | `avx512f` + `avx512dq` (IFMA sub-path also `avx512ifma`) |
+//! A kernel takes its tier as a [`SimdLevel`]. Inside the HE layer that
+//! is the context's tier ([`crate::HeContext::simd`]), fixed when the
+//! context is built: [`level`] reads `PRIMER_SIMD` there, and tests pin
+//! a tier with [`crate::HeContext::with_simd`]. No kernel and no
+//! polynomial, encoder or evaluator op reads the environment. The
+//! variable is a [`SimdPolicy`] (`scalar|avx2|avx512|auto`, plus the
+//! legacy `0|off|1|on`); `SystemConfig` rejects a typo as a typed error
+//! before it builds the context. A valid request above what the CPU
+//! offers degrades to the best supported tier, and `avx512` takes the
+//! IFMA body wherever the CPU has it.
 //!
-//! Dispatch is runtime: [`level`] re-reads the `PRIMER_SIMD` environment
-//! variable on every call (the same idiom the thread pool uses for
-//! `PRIMER_THREADS`, so tests can flip it in-process). The variable is a
-//! [`SimdPolicy`]: `scalar|avx2|avx512|auto` (plus the legacy `0`/`off`
-//! for scalar and `1`/`on` for auto), and a typo is a **typed error** at
-//! config assembly — `SystemConfig` validates it the way it validates
-//! `PRIMER_LAYOUT`, so `PRIMER_SIMD=axv512` fails Setup instead of
-//! silently running some other tier. A *valid* request that exceeds what
-//! the CPU offers degrades to the best supported tier (never UB):
-//! `avx512` on an AVX2-only host runs the AVX2 kernels, `avx2` on a
-//! non-x86 host runs scalar. Every entry point re-checks CPU support
-//! before taking a vector arm, so even a forged [`SimdLevel`] can never
-//! execute unsupported instructions. Non-x86_64 targets compile the
-//! scalar path only.
-//!
-//! Beyond the PR 6 slice kernels, this module carries the key-switch and
-//! conversion kernels PR 10 vectorized: [`extract_digit`] (decomposition
-//! shift/mask), [`ks_accumulate`] (fused dual-accumulator multiply-add —
-//! one pass per digit covers both ciphertext parts across all RNS
-//! limbs), [`gather`] (NTT-point permutations and encode/decode slot
-//! maps), [`lift_centered`] (centered plaintext lift) and
-//! [`scale_combine`] (the `round(q·m/t)` base-conversion combine).
+//! Every call re-checks the CPU and the slice length (at least one full
+//! vector) before it enters a wrapper, so even a forged [`SimdLevel`]
+//! can never execute unsupported instructions.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::modulus::Modulus;
 
@@ -70,8 +61,8 @@ pub enum SimdLevel {
     /// 4×64-bit lanes via AVX2 (`x86_64` only; falls back to scalar on
     /// other architectures or CPUs without the feature).
     Avx2,
-    /// 8×64-bit lanes via AVX-512F/DQ, with an IFMA `vpmadd52` product
-    /// sub-path when the CPU additionally reports `avx512ifma`.
+    /// 8×64-bit lanes via AVX-512F/DQ, with the IFMA `vpmadd52` product
+    /// when the CPU additionally reports `avx512ifma`.
     Avx512,
 }
 
@@ -108,7 +99,7 @@ pub enum SimdPolicy {
 impl SimdPolicy {
     /// Parses a `PRIMER_SIMD` value (case-insensitive, whitespace
     /// trimmed). `0|off|scalar` force scalar and `1|on|auto` mean
-    /// auto-detect — the first two spellings of each are the PR 6 legacy
+    /// auto-detect — the first two spellings of each are the legacy
     /// forms and keep old scripts working.
     ///
     /// # Errors
@@ -130,8 +121,7 @@ impl SimdPolicy {
         }
     }
 
-    /// Reads `PRIMER_SIMD` (re-evaluated per call; see the module docs).
-    /// Unset means [`SimdPolicy::Auto`].
+    /// Reads `PRIMER_SIMD`. Unset means [`SimdPolicy::Auto`].
     ///
     /// # Errors
     ///
@@ -157,59 +147,50 @@ impl SimdPolicy {
     }
 }
 
+/// True when the running CPU reports every listed x86 feature; always
+/// false on other architectures.
+macro_rules! detected {
+    ($($feature:tt),+) => {{
+        #[cfg(target_arch = "x86_64")]
+        let found = $(std::arch::is_x86_feature_detected!($feature))&&+;
+        #[cfg(not(target_arch = "x86_64"))]
+        let found = false;
+        found
+    }};
+}
+
 /// True when the running CPU can execute the AVX2 kernels.
 #[inline]
 pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    detected!("avx2")
 }
 
 /// True when the running CPU can execute the AVX-512 kernels
 /// (`avx512f` for the lane ops **and** `avx512dq` for `vpmullq`).
 #[inline]
 pub fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    detected!("avx512f", "avx512dq")
 }
 
-/// True when the AVX-512 tier will take the IFMA (`vpmadd52`) product
-/// sub-path. Purely informational outside this module — both product
-/// implementations are exact, so IFMA changes speed, never bytes.
+/// True when the AVX-512 tier will take the IFMA (`vpmadd52`) body.
+/// Purely informational outside this module — both AVX-512 product
+/// syntheses are exact, so IFMA changes speed, never bytes.
 #[inline]
 pub fn ifma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx512_available() && std::arch::is_x86_feature_detected!("avx512ifma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    detected!("avx512f", "avx512dq", "avx512ifma")
 }
 
-/// Selects the lane width for this call: `PRIMER_SIMD` policy (re-read
-/// from the environment **every call**, never cached) clamped to CPU
-/// support.
+/// Resolves the tier from the environment: the `PRIMER_SIMD` policy
+/// clamped to CPU support. Called when an `HeContext` is built and by
+/// the `NttTables::{forward, inverse}` conveniences — never per kernel
+/// call.
 ///
 /// # Panics
 ///
 /// Panics on an unparseable `PRIMER_SIMD`. This is the backstop for
 /// callers that bypassed config assembly — `primer_core::SystemConfig`
 /// validates the variable with [`SimdPolicy::from_env`] and rejects a
-/// typo as a typed `ConfigError` before any session reaches this point.
+/// typo as a typed `ConfigError` before it builds a context.
 #[inline]
 pub fn level() -> SimdLevel {
     SimdPolicy::from_env()
@@ -239,9 +220,8 @@ pub struct KsLimb<'a> {
 /// Fused key-switch accumulation over **all** RNS limbs of one digit:
 /// per limb, `acc0 += x ⊙ b` and `acc1 += x ⊙ a` in a single interleaved
 /// pass — each digit chunk is loaded into lanes once and multiplied
-/// against both key parts while it sits in registers, instead of the two
-/// separate `add_mul` sweeps (and three extra digit loads) the pre-PR 10
-/// code made per limb.
+/// against both key parts while it sits in registers, instead of two
+/// separate `add_mul` sweeps per limb.
 ///
 /// Bit-identical to the two-sweep formulation: the per-element operations
 /// and their order within each element are unchanged.
@@ -255,393 +235,205 @@ pub fn ks_accumulate(limbs: &mut [KsLimb<'_>], lvl: SimdLevel) {
     }
 }
 
-/// `a[i] = a[i] + b[i] mod p` lane-wise.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length (all kernels in this module).
-pub fn add_mod(m: Modulus, a: &mut [u64], b: &[u64], lvl: SimdLevel) {
-    assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                avx512::add_mod(m, a, b)
-            }
+/// The body one kernel call runs.
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    Scalar,
+    Avx2,
+    Avx512Dq,
+    Avx512Ifma,
+}
+
+impl Body {
+    /// The degrade rule: a vector body needs at least one full vector of
+    /// elements (shorter slices are all tail) and a CPU with its features,
+    /// re-checked on every call so a forged [`SimdLevel`] degrades instead
+    /// of executing illegal instructions.
+    #[inline]
+    fn pick(lvl: SimdLevel, len: usize) -> Body {
+        match lvl {
+            SimdLevel::Avx512 if len >= 8 && ifma_available() => Body::Avx512Ifma,
+            SimdLevel::Avx512 if len >= 8 && avx512_available() => Body::Avx512Dq,
+            SimdLevel::Avx512 | SimdLevel::Avx2 if len >= 4 && avx2_available() => Body::Avx2,
+            _ => Body::Scalar,
         }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::add_mod(m, a, b)
-            }
-        }
-        _ => scalar::add_mod(m, a, b),
     }
 }
 
-/// `a[i] = a[i] - b[i] mod p` lane-wise.
-pub fn sub_mod(m: Modulus, a: &mut [u64], b: &[u64], lvl: SimdLevel) {
-    assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                avx512::sub_mod(m, a, b)
+/// Defines each public kernel from one signature. The `pub fn` (the
+/// signature plus `lvl`) runs its argument checks and calls `on::<kernel>`
+/// with the body [`Body::pick`] chooses for `[len]` elements, which runs
+/// the kernel's generic `vector` body inside the `#[target_feature]`
+/// wrapper of that lane type, or the [`scalar`] reference.
+macro_rules! kernels {
+    ($(
+        $(#[$doc:meta])*
+        pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) [$len:expr] $checks:block
+    )*) => {
+        $(
+            $(#[$doc])*
+            #[allow(clippy::too_many_arguments)]
+            pub fn $name($($arg: $ty,)* lvl: SimdLevel) {
+                $checks
+                // SAFETY: `Body::pick` returns a vector body only on a CPU
+                // that has its features; the checks above establish the
+                // bodies' slice preconditions (gather's index bounds).
+                unsafe { on::$name(Body::pick(lvl, $len), $($arg),*) }
             }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::sub_mod(m, a, b)
-            }
-        }
-        _ => scalar::sub_mod(m, a, b),
-    }
-}
+        )*
 
-/// `a[i] = -a[i] mod p` lane-wise.
-pub fn neg_mod(m: Modulus, a: &mut [u64], lvl: SimdLevel) {
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                avx512::neg_mod(m, a)
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::neg_mod(m, a)
-            }
-        }
-        _ => scalar::neg_mod(m, a),
-    }
-}
-
-/// `a[i] = a[i] * b[i] mod p` lane-wise (Barrett under AVX2/AVX-512).
-pub fn mul_mod(m: Modulus, a: &mut [u64], b: &[u64], lvl: SimdLevel) {
-    assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::mul_mod(m, a, b)
-                } else {
-                    avx512::dq::mul_mod(m, a, b)
+        mod on {
+            use super::{scalar, Body, Modulus};
+            $(
+                /// # Safety
+                ///
+                /// The CPU must have the features of `body`'s lane type.
+                #[allow(clippy::too_many_arguments)]
+                #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+                #[inline]
+                pub(super) unsafe fn $name(body: Body, $($arg: $ty),*) {
+                    #[cfg(target_arch = "x86_64")]
+                    match body {
+                        Body::Avx2 => kernels!(@at "avx2" Avx2 $name $($arg: $ty),*),
+                        Body::Avx512Dq => kernels!(@at "avx512f,avx512dq" Avx512Dq
+                            $name $($arg: $ty),*),
+                        Body::Avx512Ifma => kernels!(@at "avx512f,avx512dq,avx512ifma" Avx512Ifma
+                            $name $($arg: $ty),*),
+                        Body::Scalar => {}
+                    }
+                    scalar::$name($($arg),*)
                 }
-            }
+            )*
         }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::mul_mod(m, a, b)
-            }
+    };
+    // Returns through one `#[target_feature]` wrapper around the `vector`
+    // body at `$lane`.
+    (@at $feature:literal $lane:ident $name:ident $($arg:ident: $ty:ty),*) => {{
+        #[target_feature(enable = $feature)]
+        unsafe fn at($($arg: $ty),*) {
+            super::vector::$name::<super::vector::$lane>($($arg),*)
         }
-        _ => scalar::mul_mod(m, a, b),
+        return at($($arg),*);
+    }};
+}
+
+kernels! {
+    /// `a[i] = a[i] + b[i] mod p` lane-wise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length (all kernels in this module).
+    pub fn add_mod(m: Modulus, a: &mut [u64], b: &[u64]) [a.len()] {
+        assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
     }
-}
 
-/// `acc[i] = acc[i] + a[i] * b[i] mod p` lane-wise.
-pub fn add_mul_mod(m: Modulus, acc: &mut [u64], a: &[u64], b: &[u64], lvl: SimdLevel) {
-    assert_eq!(acc.len(), a.len(), "simd kernel length mismatch");
-    assert_eq!(acc.len(), b.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(acc.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::add_mul_mod(m, acc, a, b)
-                } else {
-                    avx512::dq::add_mul_mod(m, acc, a, b)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(acc.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::add_mul_mod(m, acc, a, b)
-            }
-        }
-        _ => scalar::add_mul_mod(m, acc, a, b),
+    /// `a[i] = a[i] - b[i] mod p` lane-wise.
+    pub fn sub_mod(m: Modulus, a: &mut [u64], b: &[u64]) [a.len()] {
+        assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
     }
-}
 
-/// Fused dual accumulate: `acc0[i] += x[i] * b[i]` and
-/// `acc1[i] += x[i] * a[i]` (mod p) in one pass — `x` is loaded once per
-/// chunk. Element-wise identical to two [`add_mul_mod`] calls.
-pub fn add_mul_mod2(
-    m: Modulus,
-    acc0: &mut [u64],
-    acc1: &mut [u64],
-    x: &[u64],
-    b: &[u64],
-    a: &[u64],
-    lvl: SimdLevel,
-) {
-    assert_eq!(acc0.len(), acc1.len(), "simd kernel length mismatch");
-    assert_eq!(acc0.len(), x.len(), "simd kernel length mismatch");
-    assert_eq!(acc0.len(), b.len(), "simd kernel length mismatch");
-    assert_eq!(acc0.len(), a.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(acc0.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::add_mul_mod2(m, acc0, acc1, x, b, a)
-                } else {
-                    avx512::dq::add_mul_mod2(m, acc0, acc1, x, b, a)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(acc0.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::add_mul_mod2(m, acc0, acc1, x, b, a)
-            }
-        }
-        _ => scalar::add_mul_mod2(m, acc0, acc1, x, b, a),
+    /// `a[i] = -a[i] mod p` lane-wise.
+    pub fn neg_mod(m: Modulus, a: &mut [u64]) [a.len()] {}
+
+    /// `a[i] = a[i] * b[i] mod p` lane-wise (Barrett in the vector bodies).
+    pub fn mul_mod(m: Modulus, a: &mut [u64], b: &[u64]) [a.len()] {
+        assert_eq!(a.len(), b.len(), "simd kernel length mismatch");
     }
-}
 
-/// One level of Cooley–Tukey forward butterflies with a shared twiddle:
-/// `(lo[i], hi[i]) = (lo[i] + w·hi[i], lo[i] − w·hi[i]) mod p`.
-pub fn forward_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64], lvl: SimdLevel) {
-    assert_eq!(lo.len(), hi.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(lo.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::forward_butterflies(p, w, ws, lo, hi)
-                } else {
-                    avx512::dq::forward_butterflies(p, w, ws, lo, hi)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(lo.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::forward_butterflies(p, w, ws, lo, hi)
-            }
-        }
-        _ => scalar::forward_butterflies(p, w, ws, lo, hi),
+    /// `acc[i] = acc[i] + a[i] * b[i] mod p` lane-wise.
+    pub fn add_mul_mod(m: Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) [acc.len()] {
+        assert_eq!(acc.len(), a.len(), "simd kernel length mismatch");
+        assert_eq!(acc.len(), b.len(), "simd kernel length mismatch");
     }
-}
 
-/// One level of Gentleman–Sande inverse butterflies with a shared twiddle:
-/// `(lo[i], hi[i]) = (lo[i] + hi[i], w·(lo[i] − hi[i])) mod p`.
-pub fn inverse_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64], lvl: SimdLevel) {
-    assert_eq!(lo.len(), hi.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(lo.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::inverse_butterflies(p, w, ws, lo, hi)
-                } else {
-                    avx512::dq::inverse_butterflies(p, w, ws, lo, hi)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(lo.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::inverse_butterflies(p, w, ws, lo, hi)
-            }
-        }
-        _ => scalar::inverse_butterflies(p, w, ws, lo, hi),
+    /// Fused dual accumulate: `acc0[i] += x[i] * b[i]` and
+    /// `acc1[i] += x[i] * a[i]` (mod p) in one pass — `x` is loaded once per
+    /// chunk. Element-wise identical to two [`add_mul_mod`] calls.
+    pub fn add_mul_mod2(
+        m: Modulus,
+        acc0: &mut [u64],
+        acc1: &mut [u64],
+        x: &[u64],
+        b: &[u64],
+        a: &[u64],
+    ) [acc0.len()] {
+        assert_eq!(acc0.len(), acc1.len(), "simd kernel length mismatch");
+        assert_eq!(acc0.len(), x.len(), "simd kernel length mismatch");
+        assert_eq!(acc0.len(), b.len(), "simd kernel length mismatch");
+        assert_eq!(acc0.len(), a.len(), "simd kernel length mismatch");
     }
-}
 
-/// `a[i] = a[i] * w mod p` with a Shoup-precomputed constant (the inverse
-/// NTT's final `n^{-1}` scaling).
-pub fn mul_shoup_slice(p: u64, w: u64, ws: u64, a: &mut [u64], lvl: SimdLevel) {
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::mul_shoup_slice(p, w, ws, a)
-                } else {
-                    avx512::dq::mul_shoup_slice(p, w, ws, a)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(a.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::mul_shoup_slice(p, w, ws, a)
-            }
-        }
-        _ => scalar::mul_shoup_slice(p, w, ws, a),
+    /// One level of Cooley–Tukey forward butterflies with a shared twiddle:
+    /// `(lo[i], hi[i]) = (lo[i] + w·hi[i], lo[i] − w·hi[i]) mod p`.
+    pub fn forward_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) [lo.len()] {
+        assert_eq!(lo.len(), hi.len(), "simd kernel length mismatch");
     }
-}
 
-/// Digit extraction for key-switch decomposition:
-/// `dst[i] = (src[i] >> shift) & mask`.
-///
-/// # Panics
-///
-/// Panics if `shift >= 64` or the slices differ in length.
-pub fn extract_digit(src: &[u64], shift: u32, mask: u64, dst: &mut [u64], lvl: SimdLevel) {
-    assert!(shift < 64, "digit shift out of range");
-    assert_eq!(src.len(), dst.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(src.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                avx512::extract_digit(src, shift, mask, dst)
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(src.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::extract_digit(src, shift, mask, dst)
-            }
-        }
-        _ => scalar::extract_digit(src, shift, mask, dst),
+    /// One level of Gentleman–Sande inverse butterflies with a shared twiddle:
+    /// `(lo[i], hi[i]) = (lo[i] + hi[i], w·(lo[i] − hi[i])) mod p`.
+    pub fn inverse_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) [lo.len()] {
+        assert_eq!(lo.len(), hi.len(), "simd kernel length mismatch");
     }
-}
 
-/// Permutation gather: `dst[i] = src[idx[i]]` — the NTT-domain Galois
-/// automorphism and the encoder's slot↔position maps.
-///
-/// # Panics
-///
-/// Panics if `idx` and `dst` differ in length or any index is out of
-/// bounds for `src` (checked up front so the vector gathers are safe).
-pub fn gather(src: &[u64], idx: &[u32], dst: &mut [u64], lvl: SimdLevel) {
-    assert_eq!(idx.len(), dst.len(), "simd kernel length mismatch");
-    let max = idx.iter().copied().max().unwrap_or(0);
-    assert!(idx.is_empty() || (max as usize) < src.len(), "gather index out of bounds");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(idx.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support; indices bounds-
-            // checked above.
-            unsafe {
-                avx512::gather(src, idx, dst)
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(idx.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support; indices bounds-
-            // checked above.
-            unsafe {
-                avx2::gather(src, idx, dst)
-            }
-        }
-        _ => scalar::gather(src, idx, dst),
+    /// `a[i] = a[i] * w mod p` with a Shoup-precomputed constant (the inverse
+    /// NTT's final `n^{-1}` scaling).
+    pub fn mul_shoup_slice(p: u64, w: u64, ws: u64, a: &mut [u64]) [a.len()] {}
+
+    /// Digit extraction for key-switch decomposition:
+    /// `dst[i] = (src[i] >> shift) & mask`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shift >= 64` or the slices differ in length.
+    pub fn extract_digit(src: &[u64], shift: u32, mask: u64, dst: &mut [u64]) [src.len()] {
+        assert!(shift < 64, "digit shift out of range");
+        assert_eq!(src.len(), dst.len(), "simd kernel length mismatch");
     }
-}
 
-/// Centered plaintext lift into one RNS limb:
-/// `dst[i] = if src[i] > t/2 { p − t + src[i] } else { src[i] }`.
-/// Bit-identical to `Modulus::from_signed(t.to_signed(c))` whenever
-/// `t < p` and `src[i] < t` (the dispatcher asserts the former; callers
-/// guarantee the latter — plaintexts are reduced mod `t`).
-///
-/// # Panics
-///
-/// Panics if `t >= p` or the slices differ in length.
-pub fn lift_centered(p: u64, t: u64, src: &[u64], dst: &mut [u64], lvl: SimdLevel) {
-    assert!(t < p, "centered lift requires t < p");
-    assert_eq!(src.len(), dst.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(src.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                avx512::lift_centered(p, t, src, dst)
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(src.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::lift_centered(p, t, src, dst)
-            }
-        }
-        _ => scalar::lift_centered(p, t, src, dst),
+    /// Permutation gather: `dst[i] = src[idx[i]]` — the NTT-domain Galois
+    /// automorphism and the encoder's slot↔position maps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` and `dst` differ in length or any index is out of
+    /// bounds for `src` (checked up front so the vector gathers are safe).
+    pub fn gather(src: &[u64], idx: &[u32], dst: &mut [u64]) [idx.len()] {
+        assert_eq!(idx.len(), dst.len(), "simd kernel length mismatch");
+        let max = idx.iter().copied().max().unwrap_or(0);
+        assert!(idx.is_empty() || (max as usize) < src.len(), "gather index out of bounds");
     }
-}
 
-/// Base-conversion combine for `round(q·m/t)` scaling into one RNS limb:
-/// `out[i] = (Δ_p · plain[i] + rt[i]) mod p`, with `Δ_p = Δ mod p` fed as
-/// a Shoup pair `(delta, delta_shoup)` and `rt[i] < p` the per-coefficient
-/// rounding term (computed once, scalar, by the caller). Canonical-residue
-/// identical to reducing the full `u128` product: both are the unique
-/// value of `(Δ·m + rt) mod p`.
-#[allow(clippy::too_many_arguments)]
-pub fn scale_combine(
-    m: Modulus,
-    delta: u64,
-    delta_shoup: u64,
-    plain: &[u64],
-    rt: &[u64],
-    out: &mut [u64],
-    lvl: SimdLevel,
-) {
-    assert_eq!(plain.len(), rt.len(), "simd kernel length mismatch");
-    assert_eq!(plain.len(), out.len(), "simd kernel length mismatch");
-    match lvl {
-        SimdLevel::Avx512 if use_avx512(plain.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx512 verified CPU support.
-            unsafe {
-                if ifma_available() {
-                    avx512::ifma::scale_combine(m, delta, delta_shoup, plain, rt, out)
-                } else {
-                    avx512::dq::scale_combine(m, delta, delta_shoup, plain, rt, out)
-                }
-            }
-        }
-        SimdLevel::Avx512 | SimdLevel::Avx2 if use_avx2(plain.len()) => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: use_avx2 verified CPU support.
-            unsafe {
-                avx2::scale_combine(m, delta, delta_shoup, plain, rt, out)
-            }
-        }
-        _ => scalar::scale_combine(m, delta, delta_shoup, plain, rt, out),
+    /// Centered plaintext lift into one RNS limb:
+    /// `dst[i] = if src[i] > t/2 { p − t + src[i] } else { src[i] }`.
+    /// Bit-identical to `Modulus::from_signed(t.to_signed(c))` whenever
+    /// `t < p` and `src[i] < t` (the dispatcher asserts the former; callers
+    /// guarantee the latter — plaintexts are reduced mod `t`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= p` or the slices differ in length.
+    pub fn lift_centered(p: u64, t: u64, src: &[u64], dst: &mut [u64]) [src.len()] {
+        assert!(t < p, "centered lift requires t < p");
+        assert_eq!(src.len(), dst.len(), "simd kernel length mismatch");
     }
-}
 
-/// Tiny slices are all tail; skip the `target_feature` call and (on every
-/// entry) re-verify CPU support so a forged [`SimdLevel::Avx2`] on a
-/// non-AVX2 CPU degrades to scalar instead of executing illegal
-/// instructions.
-#[inline]
-fn use_avx2(len: usize) -> bool {
-    len >= 4 && avx2_available()
-}
-
-/// AVX-512 twin of [`use_avx2`]: 8 lanes minimum, CPU support re-checked
-/// on every entry.
-#[inline]
-fn use_avx512(len: usize) -> bool {
-    len >= 8 && avx512_available()
+    /// Base-conversion combine for `round(q·m/t)` scaling into one RNS limb:
+    /// `out[i] = (Δ_p · plain[i] + rt[i]) mod p`, with `Δ_p = Δ mod p` fed as
+    /// a Shoup pair `(delta, delta_shoup)` and `rt[i] < p` the per-coefficient
+    /// rounding term (computed once, scalar, by the caller). Canonical-residue
+    /// identical to reducing the full `u128` product: both are the unique
+    /// value of `(Δ·m + rt) mod p`.
+    pub fn scale_combine(
+        m: Modulus,
+        delta: u64,
+        delta_shoup: u64,
+        plain: &[u64],
+        rt: &[u64],
+        out: &mut [u64],
+    ) [plain.len()] {
+        assert_eq!(plain.len(), rt.len(), "simd kernel length mismatch");
+        assert_eq!(plain.len(), out.len(), "simd kernel length mismatch");
+    }
 }
 
 /// Shoup modular multiplication: `x · w mod p` with `w_shoup` precomputed
@@ -772,123 +564,259 @@ pub mod scalar {
     }
 }
 
-/// The AVX2 kernels: 4×64-bit lanes, `target_feature(enable = "avx2")`.
-///
-/// # Safety
-///
-/// Every function in this module must only be called on a CPU with AVX2
-/// (the public dispatchers in the parent module enforce this). Lane math
-/// notes:
-///
-/// * 64×64→128 multiplication is synthesised from four
-///   `_mm256_mul_epu32` partial products plus a cross-term carry.
-/// * Unsigned 64-bit compares go through a sign-bit flip and
-///   `_mm256_cmpgt_epi64`.
-/// * Barrett reduction uses per-modulus runtime shift counts
-///   (`L−1`, `L+1` with `L = Modulus::bits()`, all within `[1, 63]`
-///   because `2 ≤ p < 2^62`), fed via `_mm256_srl_epi64`/`_mm256_sll_epi64`.
-/// * `gather` relies on the dispatcher's up-front index bounds check.
+/// The lane trait, its three lane types, and each kernel's vector loop.
+/// A body walks whole vectors and hands the remainder to [`scalar`]. It
+/// and the trait methods carry no `target_feature` of their own: they
+/// inline into the `kernels!` wrappers, which enable the features.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::Modulus;
+mod vector {
+    use super::{scalar, Modulus};
     use std::arch::x86_64::*;
+    use std::marker::PhantomData;
 
-    const LO32: i64 = 0xFFFF_FFFF;
-
-    /// Full 64×64→128 lane product as (low 64, high 64) halves.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_lo_hi(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-        let lomask = _mm256_set1_epi64x(LO32);
-        let a_hi = _mm256_srli_epi64::<32>(a);
-        let b_hi = _mm256_srli_epi64::<32>(b);
-        let ll = _mm256_mul_epu32(a, b);
-        let lh = _mm256_mul_epu32(a, b_hi);
-        let hl = _mm256_mul_epu32(a_hi, b);
-        let hh = _mm256_mul_epu32(a_hi, b_hi);
-        // cross < 3·2^32, so its own carry lives in bits 32..34 and the
-        // three-way add below cannot overflow a lane.
-        let cross = _mm256_add_epi64(
-            _mm256_add_epi64(_mm256_srli_epi64::<32>(ll), _mm256_and_si256(lh, lomask)),
-            _mm256_and_si256(hl, lomask),
-        );
-        let hi = _mm256_add_epi64(
-            _mm256_add_epi64(hh, _mm256_srli_epi64::<32>(lh)),
-            _mm256_add_epi64(_mm256_srli_epi64::<32>(hl), _mm256_srli_epi64::<32>(cross)),
-        );
-        let lo = _mm256_or_si256(_mm256_slli_epi64::<32>(cross), _mm256_and_si256(ll, lomask));
-        (lo, hi)
-    }
-
-    /// Low 64 bits of the lane product (wrapping, matches `wrapping_mul`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_lo(a: __m256i, b: __m256i) -> __m256i {
-        let ll = _mm256_mul_epu32(a, b);
-        let lh = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
-        let hl = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
-        _mm256_add_epi64(ll, _mm256_slli_epi64::<32>(_mm256_add_epi64(lh, hl)))
-    }
-
-    /// Per-modulus lane constants shared by the kernels.
-    struct Lanes {
-        p: __m256i,
-        /// `(p − 1) ^ SIGN` — the unsigned-compare threshold for `x ≥ p`.
-        pm1s: __m256i,
-        sign: __m256i,
-    }
-
-    impl Lanes {
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn new(p: u64) -> Self {
-            let sign = _mm256_set1_epi64x(i64::MIN);
-            Lanes {
-                p: _mm256_set1_epi64x(p as i64),
-                pm1s: _mm256_xor_si256(_mm256_set1_epi64x((p - 1) as i64), sign),
-                sign,
-            }
-        }
-
+    /// One vector of `u64` lanes and the operations the kernels need on
+    /// it.
+    ///
+    /// # Safety
+    ///
+    /// Every method must run inside a `#[target_feature]` wrapper that
+    /// enables the implementor's features. `load`/`store` need at least
+    /// `LANES` elements; `gather` needs every index in bounds.
+    pub(super) trait Lane {
+        const LANES: usize;
+        type V: Copy;
+        unsafe fn load(s: &[u64]) -> Self::V;
+        unsafe fn store(s: &mut [u64], v: Self::V);
+        unsafe fn splat(x: u64) -> Self::V;
+        unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn sub(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn and(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn or(a: Self::V, b: Self::V) -> Self::V;
+        /// Logical shifts by a runtime count (`_mm_cvtsi32_si128(n)`).
+        unsafe fn srl(a: Self::V, count: __m128i) -> Self::V;
+        unsafe fn sll(a: Self::V, count: __m128i) -> Self::V;
         /// Conditional subtract: `x − p` where `x ≥ p` (unsigned), else `x`.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn csub(&self, x: __m256i) -> __m256i {
-            let ge = _mm256_cmpgt_epi64(_mm256_xor_si256(x, self.sign), self.pm1s);
-            _mm256_sub_epi64(x, _mm256_and_si256(self.p, ge))
-        }
+        unsafe fn csub(x: Self::V, p: Self::V) -> Self::V;
+        /// Low 64 bits of the lane product (wrapping, as `wrapping_mul`).
+        unsafe fn mul_lo(a: Self::V, b: Self::V) -> Self::V;
+        /// `vpmuludq`: the product of the low 32 bits of each lane.
+        unsafe fn mul_u32(a: Self::V, b: Self::V) -> Self::V;
+        /// The exact 64×64→128 lane product as (low 64, high 64) halves.
+        unsafe fn mul_lo_hi(a: Self::V, b: Self::V) -> (Self::V, Self::V);
+        /// `src[idx[i]]` for the first `LANES` indices.
+        unsafe fn gather(src: *const u64, idx: &[u32]) -> Self::V;
+        /// `neg_mod`'s select: `p − x` where `x ≠ 0`, else `0`.
+        unsafe fn neg_nonzero(x: Self::V, p: Self::V) -> Self::V;
+        /// `lift_centered`'s select: `c + offset` where `c > half`
+        /// (unsigned), else `c`.
+        unsafe fn add_above(c: Self::V, half: Self::V, offset: Self::V) -> Self::V;
+    }
 
-        /// Shoup multiply by a broadcast constant; canonical result.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn mul_shoup(&self, x: __m256i, w: __m256i, ws: __m256i) -> __m256i {
-            let (_, q) = mul_lo_hi(x, ws);
-            let r = _mm256_sub_epi64(mul_lo(x, w), mul_lo(q, self.p));
-            self.csub(r)
+    /// Trait methods whose body is one expression, so each lane type's
+    /// impl reads as a table from trait op to intrinsic.
+    macro_rules! lane_fns {
+        ($($name:ident($($arg:ident: $ty:ty),*) = $body:expr;)*) => {$(
+            #[inline(always)]
+            unsafe fn $name($($arg: $ty),*) -> Self::V {
+                $body
+            }
+        )*};
+    }
+
+    /// 4×64-bit lanes (`avx2`). No unsigned 64-bit compare exists at this
+    /// width, so compares flip the sign bit and use `vpcmpgtq`.
+    pub(super) enum Avx2 {}
+
+    impl Lane for Avx2 {
+        const LANES: usize = 4;
+        type V = __m256i;
+
+        lane_fns! {
+            load(s: &[u64]) = _mm256_loadu_si256(s.as_ptr() as *const __m256i);
+            splat(x: u64) = _mm256_set1_epi64x(x as i64);
+            add(a: __m256i, b: __m256i) = _mm256_add_epi64(a, b);
+            sub(a: __m256i, b: __m256i) = _mm256_sub_epi64(a, b);
+            and(a: __m256i, b: __m256i) = _mm256_and_si256(a, b);
+            or(a: __m256i, b: __m256i) = _mm256_or_si256(a, b);
+            srl(a: __m256i, count: __m128i) = _mm256_srl_epi64(a, count);
+            sll(a: __m256i, count: __m128i) = _mm256_sll_epi64(a, count);
+            mul_u32(a: __m256i, b: __m256i) = _mm256_mul_epu32(a, b);
+        }
+        #[inline(always)]
+        unsafe fn store(s: &mut [u64], v: __m256i) {
+            _mm256_storeu_si256(s.as_mut_ptr() as *mut __m256i, v)
+        }
+        #[inline(always)]
+        unsafe fn csub(x: __m256i, p: __m256i) -> __m256i {
+            // `(p − 1) ^ SIGN` is loop-invariant; the compiler hoists it.
+            let sign = _mm256_set1_epi64x(i64::MIN);
+            let pm1s = _mm256_xor_si256(_mm256_sub_epi64(p, _mm256_set1_epi64x(1)), sign);
+            let ge = _mm256_cmpgt_epi64(_mm256_xor_si256(x, sign), pm1s);
+            _mm256_sub_epi64(x, _mm256_and_si256(p, ge))
+        }
+        #[inline(always)]
+        unsafe fn mul_lo(a: __m256i, b: __m256i) -> __m256i {
+            let ll = _mm256_mul_epu32(a, b);
+            let lh = _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b));
+            let hl = _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b);
+            _mm256_add_epi64(ll, _mm256_slli_epi64::<32>(_mm256_add_epi64(lh, hl)))
+        }
+        #[inline(always)]
+        unsafe fn mul_lo_hi(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
+            mul_lo_hi_u32::<Self>(a, b)
+        }
+        #[inline(always)]
+        unsafe fn gather(src: *const u64, idx: &[u32]) -> __m256i {
+            let iv = _mm_loadu_si128(idx.as_ptr() as *const __m128i);
+            _mm256_i32gather_epi64::<8>(src as *const i64, iv)
+        }
+        #[inline(always)]
+        unsafe fn neg_nonzero(x: __m256i, p: __m256i) -> __m256i {
+            let zero = _mm256_cmpeq_epi64(x, _mm256_setzero_si256());
+            _mm256_andnot_si256(zero, _mm256_sub_epi64(p, x))
+        }
+        #[inline(always)]
+        unsafe fn add_above(c: __m256i, half: __m256i, offset: __m256i) -> __m256i {
+            let sign = _mm256_set1_epi64x(i64::MIN);
+            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(c, sign), _mm256_xor_si256(half, sign));
+            _mm256_add_epi64(c, _mm256_and_si256(offset, gt))
         }
     }
 
-    /// Barrett context: reduces a full 128-bit lane product to the
-    /// canonical residue, bit-identical to the scalar `u128 %`.
-    struct Barrett {
-        lanes: Lanes,
-        mu: __m256i,
+    /// 8×64-bit lanes (`avx512f` + `avx512dq`): compares go to mask
+    /// registers and the low product half is a native `vpmullq`. `P`
+    /// picks the 128-bit product synthesis — the only difference between
+    /// the two AVX-512 lane types.
+    pub(super) struct Avx512<P>(PhantomData<P>);
+    pub(super) type Avx512Dq = Avx512<Dq>;
+    pub(super) type Avx512Ifma = Avx512<Ifma>;
+
+    /// A 64×64→128 lane product synthesis for [`Avx512`].
+    pub(super) trait Product512 {
+        unsafe fn mul_lo_hi(a: __m512i, b: __m512i) -> (__m512i, __m512i);
+    }
+
+    /// The `vpmuludq` synthesis of [`Avx2`], with `vpmullq` for the low half.
+    pub(super) enum Dq {}
+
+    impl Product512 for Dq {
+        #[inline(always)]
+        unsafe fn mul_lo_hi(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+            (_mm512_mullo_epi64(a, b), mul_lo_hi_u32::<Avx512<Dq>>(a, b).1)
+        }
+    }
+
+    /// IFMA `vpmadd52{lo,hi}` on 52-bit limbs — fewer µops where present.
+    pub(super) enum Ifma {}
+
+    impl Product512 for Ifma {
+        /// With `a = a_lo + 2^52·a_hi` (`a_hi < 2^12`, ditto `b`):
+        /// `a·b = ll + 2^52·cross + 2^104·hh`, where `vpmadd52lo/hi`
+        /// deliver the 52-bit halves of `a_lo·b_lo` (`ll_lo`, `ll_hi`)
+        /// and of the two cross products (accumulated: `cr_lo < 2^53`,
+        /// `cr_hi < 2^13`). Writing `mid = ll_hi + cr_lo < 2^54`,
+        /// `top = cr_hi + a_hi·b_hi`:
+        ///
+        /// * `lo = ll_lo + (mid << 52)` is exact (`ll_lo < 2^52`, no carry);
+        /// * `hi = (mid >> 12) + (top << 40)` is exact because the full
+        ///   product is `< 2^128`, forcing `top < 2^24`.
+        #[inline(always)]
+        unsafe fn mul_lo_hi(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+            let z = _mm512_setzero_si512();
+            let a_hi = _mm512_srli_epi64::<52>(a);
+            let b_hi = _mm512_srli_epi64::<52>(b);
+            let ll_lo = _mm512_madd52lo_epu64(z, a, b);
+            let ll_hi = _mm512_madd52hi_epu64(z, a, b);
+            let cr_lo = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(z, a_hi, b), a, b_hi);
+            let cr_hi = _mm512_madd52hi_epu64(_mm512_madd52hi_epu64(z, a_hi, b), a, b_hi);
+            let hh = _mm512_mullo_epi64(a_hi, b_hi);
+            let mid = _mm512_add_epi64(ll_hi, cr_lo);
+            let top = _mm512_add_epi64(cr_hi, hh);
+            let lo = _mm512_add_epi64(ll_lo, _mm512_slli_epi64::<52>(mid));
+            let hi = _mm512_add_epi64(_mm512_srli_epi64::<12>(mid), _mm512_slli_epi64::<40>(top));
+            (lo, hi)
+        }
+    }
+
+    impl<P: Product512> Lane for Avx512<P> {
+        const LANES: usize = 8;
+        type V = __m512i;
+
+        lane_fns! {
+            load(s: &[u64]) = _mm512_loadu_epi64(s.as_ptr() as *const i64);
+            splat(x: u64) = _mm512_set1_epi64(x as i64);
+            add(a: __m512i, b: __m512i) = _mm512_add_epi64(a, b);
+            sub(a: __m512i, b: __m512i) = _mm512_sub_epi64(a, b);
+            and(a: __m512i, b: __m512i) = _mm512_and_si512(a, b);
+            or(a: __m512i, b: __m512i) = _mm512_or_si512(a, b);
+            srl(a: __m512i, count: __m128i) = _mm512_srl_epi64(a, count);
+            sll(a: __m512i, count: __m128i) = _mm512_sll_epi64(a, count);
+            csub(x: __m512i, p: __m512i) =
+                _mm512_mask_sub_epi64(x, _mm512_cmpge_epu64_mask(x, p), x, p);
+            mul_lo(a: __m512i, b: __m512i) = _mm512_mullo_epi64(a, b);
+            mul_u32(a: __m512i, b: __m512i) = _mm512_mul_epu32(a, b);
+            gather(src: *const u64, idx: &[u32]) = _mm512_i32gather_epi64::<8>(
+                _mm256_loadu_si256(idx.as_ptr() as *const __m256i),
+                src as *const i64,
+            );
+            neg_nonzero(x: __m512i, p: __m512i) =
+                _mm512_maskz_sub_epi64(_mm512_cmpneq_epi64_mask(x, _mm512_setzero_si512()), p, x);
+            add_above(c: __m512i, half: __m512i, offset: __m512i) =
+                _mm512_mask_add_epi64(c, _mm512_cmpgt_epu64_mask(c, half), c, offset);
+        }
+        #[inline(always)]
+        unsafe fn store(s: &mut [u64], v: __m512i) {
+            _mm512_storeu_epi64(s.as_mut_ptr() as *mut i64, v)
+        }
+        #[inline(always)]
+        unsafe fn mul_lo_hi(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
+            P::mul_lo_hi(a, b)
+        }
+    }
+
+    /// The 64×64→128 product from four `vpmuludq` 32×32 partial products
+    /// plus a cross-term carry. `cross < 3·2^32`, so its own carry lives in
+    /// bits 32..34 and the three-way add cannot overflow a lane.
+    #[inline(always)]
+    unsafe fn mul_lo_hi_u32<L: Lane>(a: L::V, b: L::V) -> (L::V, L::V) {
+        let (lomask, k32) = (L::splat(0xFFFF_FFFF), _mm_cvtsi32_si128(32));
+        let (a_hi, b_hi) = (L::srl(a, k32), L::srl(b, k32));
+        let (ll, lh) = (L::mul_u32(a, b), L::mul_u32(a, b_hi));
+        let (hl, hh) = (L::mul_u32(a_hi, b), L::mul_u32(a_hi, b_hi));
+        let cross = L::add(L::add(L::srl(ll, k32), L::and(lh, lomask)), L::and(hl, lomask));
+        let hi = L::add(L::add(hh, L::srl(lh, k32)), L::add(L::srl(hl, k32), L::srl(cross, k32)));
+        (L::or(L::sll(cross, k32), L::and(ll, lomask)), hi)
+    }
+
+    /// Shoup multiply by a broadcast constant; canonical result.
+    #[inline(always)]
+    unsafe fn mul_shoup<L: Lane>(x: L::V, w: L::V, ws: L::V, p: L::V) -> L::V {
+        let (_, q) = L::mul_lo_hi(x, ws);
+        L::csub(L::sub(L::mul_lo(x, w), L::mul_lo(q, p)), p)
+    }
+
+    /// Barrett lane constants for one modulus: reduces a full 128-bit
+    /// lane product to the canonical residue, bit-identical to the scalar
+    /// `u128 %`.
+    struct Barrett<L: Lane> {
+        p: L::V,
+        mu: L::V,
         sh1: __m128i,
         sh1c: __m128i,
         sh2: __m128i,
         sh2c: __m128i,
     }
 
-    impl Barrett {
-        #[inline]
-        #[target_feature(enable = "avx2")]
+    impl<L: Lane> Barrett<L> {
+        #[inline(always)]
         unsafe fn new(m: Modulus) -> Self {
             let bits = m.bits() as i32;
             Barrett {
-                lanes: Lanes::new(m.value()),
-                mu: _mm256_set1_epi64x(m.barrett_mu() as i64),
+                p: L::splat(m.value()),
+                mu: L::splat(m.barrett_mu()),
                 // q1 combines (lo >> (L−1)) | (hi << (64−(L−1))); q3 the
-                // same with L+1. All four counts are in [1, 63].
+                // same with L+1. All four counts are in [1, 63] because
+                // 2 ≤ p < 2^62.
                 sh1: _mm_cvtsi32_si128(bits - 1),
                 sh1c: _mm_cvtsi32_si128(64 - (bits - 1)),
                 sh2: _mm_cvtsi32_si128(bits + 1),
@@ -903,103 +831,84 @@ mod avx2 {
         /// satisfies `q3 ≤ floor(x/p) ≤ q3 + 2`, so the remainder after
         /// one low-64 subtraction sits in `[0, 3p)` (`3p < 2^64` since
         /// `p < 2^62`) and two conditional subtracts canonicalise it.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn mul_mod(&self, a: __m256i, b: __m256i) -> __m256i {
-            let (xlo, xhi) = mul_lo_hi(a, b);
-            let q1 = _mm256_or_si256(
-                _mm256_srl_epi64(xlo, self.sh1),
-                _mm256_sll_epi64(xhi, self.sh1c),
-            );
-            let (qlo, qhi) = mul_lo_hi(q1, self.mu);
-            let q3 = _mm256_or_si256(
-                _mm256_srl_epi64(qlo, self.sh2),
-                _mm256_sll_epi64(qhi, self.sh2c),
-            );
-            let r = _mm256_sub_epi64(xlo, mul_lo(q3, self.lanes.p));
-            self.lanes.csub(self.lanes.csub(r))
+        #[inline(always)]
+        unsafe fn mul_mod(&self, a: L::V, b: L::V) -> L::V {
+            let (xlo, xhi) = L::mul_lo_hi(a, b);
+            let q1 = L::or(L::srl(xlo, self.sh1), L::sll(xhi, self.sh1c));
+            let (qlo, qhi) = L::mul_lo_hi(q1, self.mu);
+            let q3 = L::or(L::srl(qlo, self.sh2), L::sll(qhi, self.sh2c));
+            let r = L::sub(xlo, L::mul_lo(q3, self.p));
+            L::csub(L::csub(r, self.p), self.p)
+        }
+
+        /// `(acc + a · b) mod p` for a canonical `acc`.
+        #[inline(always)]
+        unsafe fn add_mul(&self, acc: L::V, a: L::V, b: L::V) -> L::V {
+            L::csub(L::add(acc, self.mul_mod(a, b)), self.p)
         }
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(chunk: &[u64]) -> __m256i {
-        _mm256_loadu_si256(chunk.as_ptr() as *const __m256i)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store(chunk: &mut [u64], v: __m256i) {
-        _mm256_storeu_si256(chunk.as_mut_ptr() as *mut __m256i, v)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-        let lanes = Lanes::new(m.value());
-        let mut bs = b.chunks_exact(4);
-        let mut av = a.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn add_mod<L: Lane>(m: Modulus, a: &mut [u64], b: &[u64]) {
+        let p = L::splat(m.value());
+        let mut bs = b.chunks_exact(L::LANES);
+        let mut av = a.chunks_exact_mut(L::LANES);
         for (x, y) in av.by_ref().zip(bs.by_ref()) {
-            store(x, lanes.csub(_mm256_add_epi64(load(x), load(y))));
+            L::store(x, L::csub(L::add(L::load(x), L::load(y)), p));
         }
-        super::scalar::add_mod(m, av.into_remainder(), bs.remainder());
+        scalar::add_mod(m, av.into_remainder(), bs.remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-        let lanes = Lanes::new(m.value());
-        let mut bs = b.chunks_exact(4);
-        let mut av = a.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn sub_mod<L: Lane>(m: Modulus, a: &mut [u64], b: &[u64]) {
+        let p = L::splat(m.value());
+        let mut bs = b.chunks_exact(L::LANES);
+        let mut av = a.chunks_exact_mut(L::LANES);
         for (x, y) in av.by_ref().zip(bs.by_ref()) {
             // a + p − b lands in (0, 2p); one csub matches both scalar
             // branches exactly.
-            let t = _mm256_sub_epi64(_mm256_add_epi64(load(x), lanes.p), load(y));
-            store(x, lanes.csub(t));
+            L::store(x, L::csub(L::sub(L::add(L::load(x), p), L::load(y)), p));
         }
-        super::scalar::sub_mod(m, av.into_remainder(), bs.remainder());
+        scalar::sub_mod(m, av.into_remainder(), bs.remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn neg_mod(m: Modulus, a: &mut [u64]) {
-        let lanes = Lanes::new(m.value());
-        let zero = _mm256_setzero_si256();
-        let mut av = a.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn neg_mod<L: Lane>(m: Modulus, a: &mut [u64]) {
+        let p = L::splat(m.value());
+        let mut av = a.chunks_exact_mut(L::LANES);
         for x in av.by_ref() {
-            let v = load(x);
-            let nz = _mm256_cmpeq_epi64(v, zero);
-            // p − a, forced to 0 where a == 0 (andnot keeps non-zero lanes).
-            store(x, _mm256_andnot_si256(nz, _mm256_sub_epi64(lanes.p, v)));
+            L::store(x, L::neg_nonzero(L::load(x), p));
         }
-        super::scalar::neg_mod(m, av.into_remainder());
+        scalar::neg_mod(m, av.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-        let barrett = Barrett::new(m);
-        let mut bs = b.chunks_exact(4);
-        let mut av = a.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn mul_mod<L: Lane>(m: Modulus, a: &mut [u64], b: &[u64]) {
+        let barrett = Barrett::<L>::new(m);
+        let mut bs = b.chunks_exact(L::LANES);
+        let mut av = a.chunks_exact_mut(L::LANES);
         for (x, y) in av.by_ref().zip(bs.by_ref()) {
-            store(x, barrett.mul_mod(load(x), load(y)));
+            L::store(x, barrett.mul_mod(L::load(x), L::load(y)));
         }
-        super::scalar::mul_mod(m, av.into_remainder(), bs.remainder());
+        scalar::mul_mod(m, av.into_remainder(), bs.remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_mul_mod(m: Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        let barrett = Barrett::new(m);
-        let mut asl = a.chunks_exact(4);
-        let mut bs = b.chunks_exact(4);
-        let mut accv = acc.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn add_mul_mod<L: Lane>(m: Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        let barrett = Barrett::<L>::new(m);
+        let mut asl = a.chunks_exact(L::LANES);
+        let mut bs = b.chunks_exact(L::LANES);
+        let mut accv = acc.chunks_exact_mut(L::LANES);
         for ((d, x), y) in accv.by_ref().zip(asl.by_ref()).zip(bs.by_ref()) {
-            let prod = barrett.mul_mod(load(x), load(y));
-            store(d, barrett.lanes.csub(_mm256_add_epi64(load(d), prod)));
+            L::store(d, barrett.add_mul(L::load(d), L::load(x), L::load(y)));
         }
-        super::scalar::add_mul_mod(m, accv.into_remainder(), asl.remainder(), bs.remainder());
+        scalar::add_mul_mod(m, accv.into_remainder(), asl.remainder(), bs.remainder());
     }
 
     /// Fused dual accumulate: the digit chunk `x` is loaded once and
     /// multiplied against both key parts while in registers.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_mul_mod2(
+    #[inline(always)]
+    pub(super) unsafe fn add_mul_mod2<L: Lane>(
         m: Modulus,
         acc0: &mut [u64],
         acc1: &mut [u64],
@@ -1007,126 +916,115 @@ mod avx2 {
         b: &[u64],
         a: &[u64],
     ) {
-        let barrett = Barrett::new(m);
-        let mut xs = x.chunks_exact(4);
-        let mut bs = b.chunks_exact(4);
-        let mut asl = a.chunks_exact(4);
-        let mut a0 = acc0.chunks_exact_mut(4);
-        let mut a1 = acc1.chunks_exact_mut(4);
-        for ((((d0, d1), xv), bv), av) in a0
-            .by_ref()
-            .zip(a1.by_ref())
-            .zip(xs.by_ref())
-            .zip(bs.by_ref())
-            .zip(asl.by_ref())
+        let barrett = Barrett::<L>::new(m);
+        let mut xs = x.chunks_exact(L::LANES);
+        let mut bs = b.chunks_exact(L::LANES);
+        let mut asl = a.chunks_exact(L::LANES);
+        let mut a0 = acc0.chunks_exact_mut(L::LANES);
+        let mut a1 = acc1.chunks_exact_mut(L::LANES);
+        for ((((d0, d1), xv), bv), av) in
+            a0.by_ref().zip(a1.by_ref()).zip(xs.by_ref()).zip(bs.by_ref()).zip(asl.by_ref())
         {
-            let xc = load(xv);
-            let p0 = barrett.mul_mod(xc, load(bv));
-            store(d0, barrett.lanes.csub(_mm256_add_epi64(load(d0), p0)));
-            let p1 = barrett.mul_mod(xc, load(av));
-            store(d1, barrett.lanes.csub(_mm256_add_epi64(load(d1), p1)));
+            let xc = L::load(xv);
+            L::store(d0, barrett.add_mul(L::load(d0), xc, L::load(bv)));
+            L::store(d1, barrett.add_mul(L::load(d1), xc, L::load(av)));
         }
-        super::scalar::add_mul_mod2(
-            m,
-            a0.into_remainder(),
-            a1.into_remainder(),
-            xs.remainder(),
-            bs.remainder(),
-            asl.remainder(),
-        );
+        let (a0, a1) = (a0.into_remainder(), a1.into_remainder());
+        scalar::add_mul_mod2(m, a0, a1, xs.remainder(), bs.remainder(), asl.remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn forward_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) {
-        let lanes = Lanes::new(p);
-        let wv = _mm256_set1_epi64x(w as i64);
-        let wsv = _mm256_set1_epi64x(ws as i64);
-        let mut los = lo.chunks_exact_mut(4);
-        let mut his = hi.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn forward_butterflies<L: Lane>(
+        p: u64,
+        w: u64,
+        ws: u64,
+        lo: &mut [u64],
+        hi: &mut [u64],
+    ) {
+        let (pv, wv, wsv) = (L::splat(p), L::splat(w), L::splat(ws));
+        let mut los = lo.chunks_exact_mut(L::LANES);
+        let mut his = hi.chunks_exact_mut(L::LANES);
         for (lc, hc) in los.by_ref().zip(his.by_ref()) {
-            let u = load(lc);
-            let v = lanes.mul_shoup(load(hc), wv, wsv);
-            store(lc, lanes.csub(_mm256_add_epi64(u, v)));
-            let diff = _mm256_sub_epi64(_mm256_add_epi64(u, lanes.p), v);
-            store(hc, lanes.csub(diff));
+            let u = L::load(lc);
+            let v = mul_shoup::<L>(L::load(hc), wv, wsv, pv);
+            L::store(lc, L::csub(L::add(u, v), pv));
+            L::store(hc, L::csub(L::sub(L::add(u, pv), v), pv));
         }
-        super::scalar::forward_butterflies(p, w, ws, los.into_remainder(), his.into_remainder());
+        scalar::forward_butterflies(p, w, ws, los.into_remainder(), his.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn inverse_butterflies(p: u64, w: u64, ws: u64, lo: &mut [u64], hi: &mut [u64]) {
-        let lanes = Lanes::new(p);
-        let wv = _mm256_set1_epi64x(w as i64);
-        let wsv = _mm256_set1_epi64x(ws as i64);
-        let mut los = lo.chunks_exact_mut(4);
-        let mut his = hi.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn inverse_butterflies<L: Lane>(
+        p: u64,
+        w: u64,
+        ws: u64,
+        lo: &mut [u64],
+        hi: &mut [u64],
+    ) {
+        let (pv, wv, wsv) = (L::splat(p), L::splat(w), L::splat(ws));
+        let mut los = lo.chunks_exact_mut(L::LANES);
+        let mut his = hi.chunks_exact_mut(L::LANES);
         for (lc, hc) in los.by_ref().zip(his.by_ref()) {
-            let u = load(lc);
-            let v = load(hc);
-            store(lc, lanes.csub(_mm256_add_epi64(u, v)));
-            let diff = lanes.csub(_mm256_sub_epi64(_mm256_add_epi64(u, lanes.p), v));
-            store(hc, lanes.mul_shoup(diff, wv, wsv));
+            let u = L::load(lc);
+            let v = L::load(hc);
+            L::store(lc, L::csub(L::add(u, v), pv));
+            let diff = L::csub(L::sub(L::add(u, pv), v), pv);
+            L::store(hc, mul_shoup::<L>(diff, wv, wsv, pv));
         }
-        super::scalar::inverse_butterflies(p, w, ws, los.into_remainder(), his.into_remainder());
+        scalar::inverse_butterflies(p, w, ws, los.into_remainder(), his.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_shoup_slice(p: u64, w: u64, ws: u64, a: &mut [u64]) {
-        let lanes = Lanes::new(p);
-        let wv = _mm256_set1_epi64x(w as i64);
-        let wsv = _mm256_set1_epi64x(ws as i64);
-        let mut av = a.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn mul_shoup_slice<L: Lane>(p: u64, w: u64, ws: u64, a: &mut [u64]) {
+        let (pv, wv, wsv) = (L::splat(p), L::splat(w), L::splat(ws));
+        let mut av = a.chunks_exact_mut(L::LANES);
         for x in av.by_ref() {
-            store(x, lanes.mul_shoup(load(x), wv, wsv));
+            L::store(x, mul_shoup::<L>(L::load(x), wv, wsv, pv));
         }
-        super::scalar::mul_shoup_slice(p, w, ws, av.into_remainder());
+        scalar::mul_shoup_slice(p, w, ws, av.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn extract_digit(src: &[u64], shift: u32, mask: u64, dst: &mut [u64]) {
-        let cnt = _mm_cvtsi32_si128(shift as i32);
-        let maskv = _mm256_set1_epi64x(mask as i64);
-        let mut ss = src.chunks_exact(4);
-        let mut ds = dst.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn extract_digit<L: Lane>(
+        src: &[u64],
+        shift: u32,
+        mask: u64,
+        dst: &mut [u64],
+    ) {
+        let count = _mm_cvtsi32_si128(shift as i32);
+        let maskv = L::splat(mask);
+        let mut ss = src.chunks_exact(L::LANES);
+        let mut ds = dst.chunks_exact_mut(L::LANES);
         for (d, s) in ds.by_ref().zip(ss.by_ref()) {
-            store(d, _mm256_and_si256(_mm256_srl_epi64(load(s), cnt), maskv));
+            L::store(d, L::and(L::srl(L::load(s), count), maskv));
         }
-        super::scalar::extract_digit(ss.remainder(), shift, mask, ds.into_remainder());
+        scalar::extract_digit(ss.remainder(), shift, mask, ds.into_remainder());
     }
 
-    /// # Safety
-    ///
-    /// Besides AVX2, every `idx` entry must be in bounds for `src` (the
-    /// dispatcher checks this before calling).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gather(src: &[u64], idx: &[u32], dst: &mut [u64]) {
-        let base = src.as_ptr() as *const i64;
-        let mut is = idx.chunks_exact(4);
-        let mut ds = dst.chunks_exact_mut(4);
+    /// Relies on `super::gather`'s up-front index bounds check.
+    #[inline(always)]
+    pub(super) unsafe fn gather<L: Lane>(src: &[u64], idx: &[u32], dst: &mut [u64]) {
+        let mut is = idx.chunks_exact(L::LANES);
+        let mut ds = dst.chunks_exact_mut(L::LANES);
         for (d, i) in ds.by_ref().zip(is.by_ref()) {
-            let iv = _mm_loadu_si128(i.as_ptr() as *const __m128i);
-            store(d, _mm256_i32gather_epi64::<8>(base, iv));
+            L::store(d, L::gather(src.as_ptr(), i));
         }
-        super::scalar::gather(src, is.remainder(), ds.into_remainder());
+        scalar::gather(src, is.remainder(), ds.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lift_centered(p: u64, t: u64, src: &[u64], dst: &mut [u64]) {
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        let halfs = _mm256_xor_si256(_mm256_set1_epi64x((t / 2) as i64), sign);
-        let offset = _mm256_set1_epi64x((p - t) as i64);
-        let mut ss = src.chunks_exact(4);
-        let mut ds = dst.chunks_exact_mut(4);
+    #[inline(always)]
+    pub(super) unsafe fn lift_centered<L: Lane>(p: u64, t: u64, src: &[u64], dst: &mut [u64]) {
+        let (half, offset) = (L::splat(t / 2), L::splat(p - t));
+        let mut ss = src.chunks_exact(L::LANES);
+        let mut ds = dst.chunks_exact_mut(L::LANES);
         for (d, s) in ds.by_ref().zip(ss.by_ref()) {
-            let c = load(s);
-            let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(c, sign), halfs);
-            store(d, _mm256_add_epi64(c, _mm256_and_si256(offset, gt)));
+            L::store(d, L::add_above(L::load(s), half, offset));
         }
-        super::scalar::lift_centered(p, t, ss.remainder(), ds.into_remainder());
+        scalar::lift_centered(p, t, ss.remainder(), ds.into_remainder());
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_combine(
+    #[inline(always)]
+    pub(super) unsafe fn scale_combine<L: Lane>(
         m: Modulus,
         delta: u64,
         delta_shoup: u64,
@@ -1134,456 +1032,17 @@ mod avx2 {
         rt: &[u64],
         out: &mut [u64],
     ) {
-        let lanes = Lanes::new(m.value());
-        let wv = _mm256_set1_epi64x(delta as i64);
-        let wsv = _mm256_set1_epi64x(delta_shoup as i64);
-        let mut ps = plain.chunks_exact(4);
-        let mut rs = rt.chunks_exact(4);
-        let mut os = out.chunks_exact_mut(4);
+        let (pv, wv, wsv) = (L::splat(m.value()), L::splat(delta), L::splat(delta_shoup));
+        let mut ps = plain.chunks_exact(L::LANES);
+        let mut rs = rt.chunks_exact(L::LANES);
+        let mut os = out.chunks_exact_mut(L::LANES);
         for ((o, c), r) in os.by_ref().zip(ps.by_ref()).zip(rs.by_ref()) {
-            let v = lanes.mul_shoup(load(c), wv, wsv);
-            store(o, lanes.csub(_mm256_add_epi64(v, load(r))));
+            let v = mul_shoup::<L>(L::load(c), wv, wsv, pv);
+            L::store(o, L::csub(L::add(v, L::load(r)), pv));
         }
-        super::scalar::scale_combine(
-            m,
-            delta,
-            delta_shoup,
-            ps.remainder(),
-            rs.remainder(),
-            os.into_remainder(),
-        );
+        let (ps, rs) = (ps.remainder(), rs.remainder());
+        scalar::scale_combine(m, delta, delta_shoup, ps, rs, os.into_remainder());
     }
-}
-
-/// The AVX-512 kernels: 8×64-bit lanes.
-///
-/// # Safety
-///
-/// Every function must only be called on a CPU with `avx512f` +
-/// `avx512dq` (the public dispatchers enforce this; the `ifma` submodule
-/// additionally requires `avx512ifma`). Lane math notes:
-///
-/// * Unsigned compares and conditional subtracts use native mask
-///   registers (`_mm512_cmpge_epu64_mask` + `_mm512_mask_sub_epi64`) —
-///   no sign-flip tricks needed at this width.
-/// * The low 64 bits of a product are a single `vpmullq`
-///   (`_mm512_mullo_epi64`, the reason `avx512dq` is required).
-/// * The product kernels exist twice via one macro: [`dq`] synthesises
-///   the 128-bit product from `_mm512_mul_epu32` partials exactly like
-///   the AVX2 tier; [`ifma`] splits operands into 52-bit limbs and uses
-///   `vpmadd52{lo,hi}` — fewer µops on CPUs that have it. Both compute
-///   the exact integer product, so results are bit-identical and the
-///   dispatcher picks by `ifma_available()` alone.
-/// * `gather` relies on the dispatcher's up-front index bounds check.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::Modulus;
-    use std::arch::x86_64::*;
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn load(chunk: &[u64]) -> __m512i {
-        _mm512_loadu_epi64(chunk.as_ptr() as *const i64)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn store(chunk: &mut [u64], v: __m512i) {
-        _mm512_storeu_epi64(chunk.as_mut_ptr() as *mut i64, v)
-    }
-
-    /// Conditional subtract: `x − p` where `x ≥ p` (unsigned), else `x`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn csub(x: __m512i, p: __m512i) -> __m512i {
-        let ge = _mm512_cmpge_epu64_mask(x, p);
-        _mm512_mask_sub_epi64(x, ge, x, p)
-    }
-
-    /// `_mm512_mul_epu32`-synthesised 64×64→128 product (lo, hi). Exact
-    /// for arbitrary `u64` lanes; mirrors the AVX2 derivation, except the
-    /// low half is a native `vpmullq`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    unsafe fn mul_lo_hi_u32(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
-        let lomask = _mm512_set1_epi64(0xFFFF_FFFF);
-        let a_hi = _mm512_srli_epi64::<32>(a);
-        let b_hi = _mm512_srli_epi64::<32>(b);
-        let ll = _mm512_mul_epu32(a, b);
-        let lh = _mm512_mul_epu32(a, b_hi);
-        let hl = _mm512_mul_epu32(a_hi, b);
-        let hh = _mm512_mul_epu32(a_hi, b_hi);
-        let cross = _mm512_add_epi64(
-            _mm512_add_epi64(_mm512_srli_epi64::<32>(ll), _mm512_and_si512(lh, lomask)),
-            _mm512_and_si512(hl, lomask),
-        );
-        let hi = _mm512_add_epi64(
-            _mm512_add_epi64(hh, _mm512_srli_epi64::<32>(lh)),
-            _mm512_add_epi64(_mm512_srli_epi64::<32>(hl), _mm512_srli_epi64::<32>(cross)),
-        );
-        (_mm512_mullo_epi64(a, b), hi)
-    }
-
-    /// IFMA 64×64→128 product (lo, hi) from 52-bit limbs. With
-    /// `a = a_lo + 2^52·a_hi` (`a_hi < 2^12`, ditto `b`):
-    ///
-    /// `a·b = ll + 2^52·cross + 2^104·hh`, where `vpmadd52lo/hi` deliver
-    /// the 52-bit halves of `a_lo·b_lo` (`ll_lo`, `ll_hi`) and of the two
-    /// cross products (accumulated: `cr_lo < 2^53`, `cr_hi < 2^13`).
-    /// Writing `mid = ll_hi + cr_lo < 2^54`, `top = cr_hi + a_hi·b_hi`:
-    ///
-    /// * `lo = ll_lo + (mid << 52)` is exact (`ll_lo < 2^52`, no carry);
-    /// * `hi = (mid >> 12) + (top << 40)` is exact because the full
-    ///   product is `< 2^128`, forcing `top < 2^24`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    unsafe fn mul_lo_hi_ifma(a: __m512i, b: __m512i) -> (__m512i, __m512i) {
-        let z = _mm512_setzero_si512();
-        let a_hi = _mm512_srli_epi64::<52>(a);
-        let b_hi = _mm512_srli_epi64::<52>(b);
-        let ll_lo = _mm512_madd52lo_epu64(z, a, b);
-        let ll_hi = _mm512_madd52hi_epu64(z, a, b);
-        let cr_lo = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(z, a_hi, b), a, b_hi);
-        let cr_hi = _mm512_madd52hi_epu64(_mm512_madd52hi_epu64(z, a_hi, b), a, b_hi);
-        let hh = _mm512_mullo_epi64(a_hi, b_hi);
-        let mid = _mm512_add_epi64(ll_hi, cr_lo);
-        let top = _mm512_add_epi64(cr_hi, hh);
-        let lo = _mm512_add_epi64(ll_lo, _mm512_slli_epi64::<52>(mid));
-        let hi = _mm512_add_epi64(_mm512_srli_epi64::<12>(mid), _mm512_slli_epi64::<40>(top));
-        (lo, hi)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn add_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-        let p = _mm512_set1_epi64(m.value() as i64);
-        let mut bs = b.chunks_exact(8);
-        let mut av = a.chunks_exact_mut(8);
-        for (x, y) in av.by_ref().zip(bs.by_ref()) {
-            store(x, csub(_mm512_add_epi64(load(x), load(y)), p));
-        }
-        super::scalar::add_mod(m, av.into_remainder(), bs.remainder());
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sub_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-        let p = _mm512_set1_epi64(m.value() as i64);
-        let mut bs = b.chunks_exact(8);
-        let mut av = a.chunks_exact_mut(8);
-        for (x, y) in av.by_ref().zip(bs.by_ref()) {
-            let t = _mm512_sub_epi64(_mm512_add_epi64(load(x), p), load(y));
-            store(x, csub(t, p));
-        }
-        super::scalar::sub_mod(m, av.into_remainder(), bs.remainder());
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn neg_mod(m: Modulus, a: &mut [u64]) {
-        let p = _mm512_set1_epi64(m.value() as i64);
-        let zero = _mm512_setzero_si512();
-        let mut av = a.chunks_exact_mut(8);
-        for x in av.by_ref() {
-            let v = load(x);
-            // p − a, zeroed (via maskz) where a == 0.
-            let nz = _mm512_cmpneq_epi64_mask(v, zero);
-            store(x, _mm512_maskz_sub_epi64(nz, p, v));
-        }
-        super::scalar::neg_mod(m, av.into_remainder());
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn extract_digit(src: &[u64], shift: u32, mask: u64, dst: &mut [u64]) {
-        let cnt = _mm_cvtsi32_si128(shift as i32);
-        let maskv = _mm512_set1_epi64(mask as i64);
-        let mut ss = src.chunks_exact(8);
-        let mut ds = dst.chunks_exact_mut(8);
-        for (d, s) in ds.by_ref().zip(ss.by_ref()) {
-            store(d, _mm512_and_si512(_mm512_srl_epi64(load(s), cnt), maskv));
-        }
-        super::scalar::extract_digit(ss.remainder(), shift, mask, ds.into_remainder());
-    }
-
-    /// # Safety
-    ///
-    /// Besides AVX-512F, every `idx` entry must be in bounds for `src`
-    /// (the dispatcher checks this before calling).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gather(src: &[u64], idx: &[u32], dst: &mut [u64]) {
-        let base = src.as_ptr() as *const i64;
-        let mut is = idx.chunks_exact(8);
-        let mut ds = dst.chunks_exact_mut(8);
-        for (d, i) in ds.by_ref().zip(is.by_ref()) {
-            let iv = _mm256_loadu_si256(i.as_ptr() as *const __m256i);
-            store(d, _mm512_i32gather_epi64::<8>(iv, base));
-        }
-        super::scalar::gather(src, is.remainder(), ds.into_remainder());
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn lift_centered(p: u64, t: u64, src: &[u64], dst: &mut [u64]) {
-        let half = _mm512_set1_epi64((t / 2) as i64);
-        let offset = _mm512_set1_epi64((p - t) as i64);
-        let mut ss = src.chunks_exact(8);
-        let mut ds = dst.chunks_exact_mut(8);
-        for (d, s) in ds.by_ref().zip(ss.by_ref()) {
-            let c = load(s);
-            let gt = _mm512_cmpgt_epu64_mask(c, half);
-            store(d, _mm512_mask_add_epi64(c, gt, c, offset));
-        }
-        super::scalar::lift_centered(p, t, ss.remainder(), ds.into_remainder());
-    }
-
-    /// Expands the product-dependent kernel set once per 64×64→128
-    /// implementation ([`dq`] / [`ifma`]); bodies are identical, only the
-    /// `mul_lo_hi` callee and the enabled features differ.
-    macro_rules! product_kernels {
-        ($modname:ident, $feat:literal, $mul_lo_hi:path, $doc:literal) => {
-            #[doc = $doc]
-            pub mod $modname {
-                use super::super::Modulus;
-                use super::{csub, load, store};
-                use std::arch::x86_64::*;
-
-                /// Shoup multiply by a broadcast constant; canonical result.
-                #[inline]
-                #[target_feature(enable = $feat)]
-                unsafe fn mul_shoup(x: __m512i, w: __m512i, ws: __m512i, p: __m512i) -> __m512i {
-                    let (_, q) = $mul_lo_hi(x, ws);
-                    let r = _mm512_sub_epi64(
-                        _mm512_mullo_epi64(x, w),
-                        _mm512_mullo_epi64(q, p),
-                    );
-                    csub(r, p)
-                }
-
-                /// Barrett lane constants (shift counts are per-modulus
-                /// runtime values, all in `[1, 63]` since `2 ≤ p < 2^62`).
-                pub(super) struct Barrett {
-                    p: __m512i,
-                    mu: __m512i,
-                    sh1: __m128i,
-                    sh1c: __m128i,
-                    sh2: __m128i,
-                    sh2c: __m128i,
-                }
-
-                impl Barrett {
-                    #[inline]
-                    #[target_feature(enable = $feat)]
-                    unsafe fn new(m: Modulus) -> Self {
-                        let bits = m.bits() as i32;
-                        Barrett {
-                            p: _mm512_set1_epi64(m.value() as i64),
-                            mu: _mm512_set1_epi64(m.barrett_mu() as i64),
-                            sh1: _mm_cvtsi32_si128(bits - 1),
-                            sh1c: _mm_cvtsi32_si128(64 - (bits - 1)),
-                            sh2: _mm_cvtsi32_si128(bits + 1),
-                            sh2c: _mm_cvtsi32_si128(64 - (bits + 1)),
-                        }
-                    }
-
-                    /// `a · b mod p`, fully reduced (same derivation as the
-                    /// AVX2 tier: remainder in `[0, 3p)`, two csubs).
-                    #[inline]
-                    #[target_feature(enable = $feat)]
-                    unsafe fn mul_mod(&self, a: __m512i, b: __m512i) -> __m512i {
-                        let (xlo, xhi) = $mul_lo_hi(a, b);
-                        let q1 = _mm512_or_si512(
-                            _mm512_srl_epi64(xlo, self.sh1),
-                            _mm512_sll_epi64(xhi, self.sh1c),
-                        );
-                        let (qlo, qhi) = $mul_lo_hi(q1, self.mu);
-                        let q3 = _mm512_or_si512(
-                            _mm512_srl_epi64(qlo, self.sh2),
-                            _mm512_sll_epi64(qhi, self.sh2c),
-                        );
-                        let r = _mm512_sub_epi64(xlo, _mm512_mullo_epi64(q3, self.p));
-                        csub(csub(r, self.p), self.p)
-                    }
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn mul_mod(m: Modulus, a: &mut [u64], b: &[u64]) {
-                    let barrett = Barrett::new(m);
-                    let mut bs = b.chunks_exact(8);
-                    let mut av = a.chunks_exact_mut(8);
-                    for (x, y) in av.by_ref().zip(bs.by_ref()) {
-                        store(x, barrett.mul_mod(load(x), load(y)));
-                    }
-                    super::super::scalar::mul_mod(m, av.into_remainder(), bs.remainder());
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn add_mul_mod(m: Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-                    let barrett = Barrett::new(m);
-                    let mut asl = a.chunks_exact(8);
-                    let mut bs = b.chunks_exact(8);
-                    let mut accv = acc.chunks_exact_mut(8);
-                    for ((d, x), y) in accv.by_ref().zip(asl.by_ref()).zip(bs.by_ref()) {
-                        let prod = barrett.mul_mod(load(x), load(y));
-                        store(d, csub(_mm512_add_epi64(load(d), prod), barrett.p));
-                    }
-                    super::super::scalar::add_mul_mod(
-                        m,
-                        accv.into_remainder(),
-                        asl.remainder(),
-                        bs.remainder(),
-                    );
-                }
-
-                /// Fused dual accumulate: the digit chunk `x` is loaded
-                /// once and multiplied against both key parts in registers.
-                #[target_feature(enable = $feat)]
-                pub unsafe fn add_mul_mod2(
-                    m: Modulus,
-                    acc0: &mut [u64],
-                    acc1: &mut [u64],
-                    x: &[u64],
-                    b: &[u64],
-                    a: &[u64],
-                ) {
-                    let barrett = Barrett::new(m);
-                    let mut xs = x.chunks_exact(8);
-                    let mut bs = b.chunks_exact(8);
-                    let mut asl = a.chunks_exact(8);
-                    let mut a0 = acc0.chunks_exact_mut(8);
-                    let mut a1 = acc1.chunks_exact_mut(8);
-                    for ((((d0, d1), xv), bv), av) in a0
-                        .by_ref()
-                        .zip(a1.by_ref())
-                        .zip(xs.by_ref())
-                        .zip(bs.by_ref())
-                        .zip(asl.by_ref())
-                    {
-                        let xc = load(xv);
-                        let p0 = barrett.mul_mod(xc, load(bv));
-                        store(d0, csub(_mm512_add_epi64(load(d0), p0), barrett.p));
-                        let p1 = barrett.mul_mod(xc, load(av));
-                        store(d1, csub(_mm512_add_epi64(load(d1), p1), barrett.p));
-                    }
-                    super::super::scalar::add_mul_mod2(
-                        m,
-                        a0.into_remainder(),
-                        a1.into_remainder(),
-                        xs.remainder(),
-                        bs.remainder(),
-                        asl.remainder(),
-                    );
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn forward_butterflies(
-                    p: u64,
-                    w: u64,
-                    ws: u64,
-                    lo: &mut [u64],
-                    hi: &mut [u64],
-                ) {
-                    let pv = _mm512_set1_epi64(p as i64);
-                    let wv = _mm512_set1_epi64(w as i64);
-                    let wsv = _mm512_set1_epi64(ws as i64);
-                    let mut los = lo.chunks_exact_mut(8);
-                    let mut his = hi.chunks_exact_mut(8);
-                    for (lc, hc) in los.by_ref().zip(his.by_ref()) {
-                        let u = load(lc);
-                        let v = mul_shoup(load(hc), wv, wsv, pv);
-                        store(lc, csub(_mm512_add_epi64(u, v), pv));
-                        let diff = _mm512_sub_epi64(_mm512_add_epi64(u, pv), v);
-                        store(hc, csub(diff, pv));
-                    }
-                    super::super::scalar::forward_butterflies(
-                        p,
-                        w,
-                        ws,
-                        los.into_remainder(),
-                        his.into_remainder(),
-                    );
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn inverse_butterflies(
-                    p: u64,
-                    w: u64,
-                    ws: u64,
-                    lo: &mut [u64],
-                    hi: &mut [u64],
-                ) {
-                    let pv = _mm512_set1_epi64(p as i64);
-                    let wv = _mm512_set1_epi64(w as i64);
-                    let wsv = _mm512_set1_epi64(ws as i64);
-                    let mut los = lo.chunks_exact_mut(8);
-                    let mut his = hi.chunks_exact_mut(8);
-                    for (lc, hc) in los.by_ref().zip(his.by_ref()) {
-                        let u = load(lc);
-                        let v = load(hc);
-                        store(lc, csub(_mm512_add_epi64(u, v), pv));
-                        let diff = csub(_mm512_sub_epi64(_mm512_add_epi64(u, pv), v), pv);
-                        store(hc, mul_shoup(diff, wv, wsv, pv));
-                    }
-                    super::super::scalar::inverse_butterflies(
-                        p,
-                        w,
-                        ws,
-                        los.into_remainder(),
-                        his.into_remainder(),
-                    );
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn mul_shoup_slice(p: u64, w: u64, ws: u64, a: &mut [u64]) {
-                    let pv = _mm512_set1_epi64(p as i64);
-                    let wv = _mm512_set1_epi64(w as i64);
-                    let wsv = _mm512_set1_epi64(ws as i64);
-                    let mut av = a.chunks_exact_mut(8);
-                    for x in av.by_ref() {
-                        store(x, mul_shoup(load(x), wv, wsv, pv));
-                    }
-                    super::super::scalar::mul_shoup_slice(p, w, ws, av.into_remainder());
-                }
-
-                #[target_feature(enable = $feat)]
-                pub unsafe fn scale_combine(
-                    m: Modulus,
-                    delta: u64,
-                    delta_shoup: u64,
-                    plain: &[u64],
-                    rt: &[u64],
-                    out: &mut [u64],
-                ) {
-                    let pv = _mm512_set1_epi64(m.value() as i64);
-                    let wv = _mm512_set1_epi64(delta as i64);
-                    let wsv = _mm512_set1_epi64(delta_shoup as i64);
-                    let mut ps = plain.chunks_exact(8);
-                    let mut rs = rt.chunks_exact(8);
-                    let mut os = out.chunks_exact_mut(8);
-                    for ((o, c), r) in os.by_ref().zip(ps.by_ref()).zip(rs.by_ref()) {
-                        let v = mul_shoup(load(c), wv, wsv, pv);
-                        store(o, csub(_mm512_add_epi64(v, load(r)), pv));
-                    }
-                    super::super::scalar::scale_combine(
-                        m,
-                        delta,
-                        delta_shoup,
-                        ps.remainder(),
-                        rs.remainder(),
-                        os.into_remainder(),
-                    );
-                }
-            }
-        };
-    }
-
-    product_kernels!(
-        dq,
-        "avx512f,avx512dq",
-        super::mul_lo_hi_u32,
-        "Product kernels on the `_mm512_mul_epu32` synthesis (no IFMA)."
-    );
-    product_kernels!(
-        ifma,
-        "avx512f,avx512dq,avx512ifma",
-        super::mul_lo_hi_ifma,
-        "Product kernels on the `vpmadd52` 52-bit-limb synthesis."
-    );
 }
 
 #[cfg(test)]
@@ -1834,6 +1293,82 @@ mod tests {
                 let mut v = vec![top; 16];
                 add_mod(m, &mut v, &b, tier);
                 assert_eq!(s, v, "tier={}", tier.name());
+            }
+        }
+    }
+
+    /// Every profile's RNS primes and plaintext modulus.
+    fn profile_moduli() -> Vec<Modulus> {
+        use crate::params::HeParams;
+        let mut values: Vec<u64> =
+            [HeParams::toy(), HeParams::test_2k(), HeParams::test_2k_wide(), HeParams::paper_8k()]
+                .iter()
+                .flat_map(|params| params.moduli().iter().copied().chain([params.t()]))
+                .collect();
+        values.sort_unstable();
+        values.dedup();
+        values.into_iter().map(Modulus::new).collect()
+    }
+
+    /// The product kernels at both AVX-512 lane types, pinned directly:
+    /// `Body::pick` prefers IFMA wherever the CPU has it, so on an IFMA
+    /// host nothing else runs the DQ body — yet it is the only AVX-512
+    /// body on Skylake-X and Cascade Lake.
+    #[test]
+    fn product_kernels_match_scalar_at_dq_and_ifma() {
+        let mut bodies = Vec::new();
+        if avx512_available() {
+            bodies.push(Body::Avx512Dq);
+        } else {
+            eprintln!("note: host lacks AVX-512 (F+DQ) — skipping the Avx512Dq body");
+        }
+        if ifma_available() {
+            bodies.push(Body::Avx512Ifma);
+        } else {
+            eprintln!("note: host lacks AVX-512 IFMA — skipping the Avx512Ifma body");
+        }
+        for m in profile_moduli() {
+            let p = m.value();
+            for len in (0..=17).chain([2048]) {
+                let (mut a, mut b, c) = vecs(m, len, p ^ len as u64);
+                // The boundary residues 0 and p − 1, against each other
+                // and against random values, in every lane position.
+                for i in 0..len {
+                    match i % 4 {
+                        1 => (a[i], b[i]) = (p - 1, p - 1),
+                        2 => a[i] = 0,
+                        3 => (a[i], b[i]) = (p - 1, 0),
+                        _ => {}
+                    }
+                }
+                for w in [p - 1, p / 3 + 1] {
+                    let ws = (((w as u128) << 64) / p as u128) as u64;
+                    let run = |body: Body| {
+                        let mut mul = a.clone();
+                        let mut fma = c.clone();
+                        let (mut fma0, mut fma1) = (c.clone(), b.clone());
+                        let (mut flo, mut fhi) = (a.clone(), b.clone());
+                        let (mut ilo, mut ihi) = (a.clone(), b.clone());
+                        let mut shoup = a.clone();
+                        let mut scale = vec![0; len];
+                        // SAFETY: every vector body run here passed its CPU
+                        // check above; the scalar body needs none.
+                        unsafe {
+                            on::mul_mod(body, m, &mut mul, &b);
+                            on::add_mul_mod(body, m, &mut fma, &a, &b);
+                            on::add_mul_mod2(body, m, &mut fma0, &mut fma1, &a, &b, &c);
+                            on::forward_butterflies(body, p, w, ws, &mut flo, &mut fhi);
+                            on::inverse_butterflies(body, p, w, ws, &mut ilo, &mut ihi);
+                            on::mul_shoup_slice(body, p, w, ws, &mut shoup);
+                            on::scale_combine(body, m, w, ws, &a, &c, &mut scale);
+                        }
+                        (mul, fma, fma0, fma1, flo, fhi, ilo, ihi, shoup, scale)
+                    };
+                    let want = run(Body::Scalar);
+                    for &body in &bodies {
+                        assert!(run(body) == want, "{body:?} diverged (p={p}, len={len}, w={w})");
+                    }
+                }
             }
         }
     }

@@ -53,19 +53,6 @@ pub struct ClientConfig {
     pub shape: Option<NetworkModel>,
 }
 
-impl ClientConfig {
-    /// Defaults: the full Primer variant, simulated GC, pool of 2, and
-    /// a fresh entropy-derived session seed (see [`ClientConfig::seed`]).
-    #[deprecated(note = "use `ClientBuilder::new(variant)` — the chainable v4 client API")]
-    pub fn new(variant: ProtocolVariant) -> Self {
-        defaults(variant)
-    }
-}
-
-fn defaults(variant: ProtocolVariant) -> ClientConfig {
-    ClientConfig { variant, mode: GcMode::Simulated, pool: 2, seed: entropy_seed(), shape: None }
-}
-
 /// A fresh unpredictable seed from OS entropy (`RandomState` hashes
 /// per-process random keys), without a dependency on an OS rng crate.
 fn entropy_seed() -> u64 {
@@ -91,15 +78,11 @@ pub struct ClientBuilder {
 }
 
 impl ClientBuilder {
-    /// Starts from the defaults of [`ClientConfig`].
+    /// Starts from simulated GC, a pool of 2, no shaping and a fresh
+    /// entropy-derived session seed (see [`ClientConfig::seed`]).
     pub fn new(variant: ProtocolVariant) -> Self {
-        Self { cfg: defaults(variant) }
-    }
-
-    /// Builds on an existing config (the deprecated positional API's
-    /// escape hatch).
-    pub fn from_config(cfg: ClientConfig) -> Self {
-        Self { cfg }
+        let seed = entropy_seed();
+        Self { cfg: ClientConfig { variant, mode: GcMode::Simulated, pool: 2, seed, shape: None } }
     }
 
     /// GC execution mode to request.
@@ -694,37 +677,6 @@ impl From<ProtoError> for ClientError {
     fn from(e: ProtoError) -> Self {
         ClientError::Proto(e)
     }
-}
-
-/// Connects to a server, negotiates a session and runs `queries`
-/// private inferences through it.
-///
-/// # Errors
-///
-/// [`ClientError`] on socket failures, handshake rejection, or a model
-/// the queries do not fit.
-#[deprecated(note = "use `ClientBuilder::new(variant)…run(addr, queries)`")]
-pub fn run_queries<A: ToSocketAddrs>(
-    addr: A,
-    cfg: &ClientConfig,
-    queries: &[Vec<usize>],
-) -> Result<RunOutcome, ClientError> {
-    ClientBuilder::from_config(cfg.clone()).run(addr, queries)
-}
-
-/// Like [`run_queries`], but samples `n` random token sequences from
-/// `cfg.seed` once the model shape is known.
-///
-/// # Errors
-///
-/// [`ClientError`] on socket failures or handshake rejection.
-#[deprecated(note = "use `ClientBuilder::new(variant)…run_random(addr, n)`")]
-pub fn run_random_queries<A: ToSocketAddrs>(
-    addr: A,
-    cfg: &ClientConfig,
-    n: usize,
-) -> Result<RunOutcome, ClientError> {
-    ClientBuilder::from_config(cfg.clone()).run_random(addr, n)
 }
 
 /// Polls a running server's live `/stats` surface: connects, sends one

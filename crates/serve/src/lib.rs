@@ -43,10 +43,9 @@ pub mod registry;
 pub mod server;
 pub(crate) mod suspend;
 
-#[allow(deprecated)]
 pub use client::{
-    poll_stats, run_queries, run_random_queries, sample_random_queries, ClientBuilder,
-    ClientConfig, ClientError, Prediction, RunOutcome, SessionHandle, SuspendedSession,
+    poll_stats, sample_random_queries, ClientBuilder, ClientConfig, ClientError, Prediction,
+    RunOutcome, SessionHandle, SuspendedSession,
 };
 pub use error::{ServeError, SessionOutcome};
 pub use proto::{

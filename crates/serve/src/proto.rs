@@ -43,11 +43,9 @@ use primer_nn::TransformerConfig;
 /// answer a hello with a typed **busy** frame instead of queueing it
 /// forever (admission control / load shedding), mid-session control
 /// frames negotiate suspension ([`SuspendRequest`] / [`SuspendReply`]),
-/// and the stats snapshot grows shed/suspend/eviction counters. v3
-/// *pollers* stay supported: [`StatsRequest::decode`] accepts both
-/// versions and the server answers a v3 poll with the v3 field set —
-/// post-v3 session states downgraded to their closest v3 code, the new
-/// trailing counters omitted.
+/// and the stats snapshot grows shed/suspend/eviction counters. Polls
+/// at any other version, v3 included, get a typed version-mismatch
+/// rejection.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Magic prefix of every hello frame.
@@ -604,18 +602,14 @@ pub fn is_stats_frame(bytes: &[u8]) -> bool {
 /// [`StatsSnapshot`] frame and closes; the poll never acquires a
 /// session worker slot and never counts toward a bounded accept run.
 ///
-/// The poll carries the poller's protocol version; the server accepts
-/// v3 **and** v4 polls and answers each in its own dialect
-/// ([`StatsSnapshot::encode_for`]), so pre-redesign monitoring keeps
-/// working unchanged.
+/// The poll carries the poller's protocol version; the server answers
+/// only [`PROTOCOL_VERSION`] polls and rejects any other version with a
+/// reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsRequest {
-    /// Protocol version the poller speaks (3 or 4).
+    /// Protocol version the poller speaks.
     pub version: u32,
 }
-
-/// Oldest stats-poll dialect the server still answers.
-pub const STATS_MIN_VERSION: u32 = 3;
 
 impl StatsRequest {
     /// A poll at the current protocol version.
@@ -631,13 +625,11 @@ impl StatsRequest {
         out
     }
 
-    /// Decodes a poll frame, accepting any dialect in
-    /// [`STATS_MIN_VERSION`]`..=`[`PROTOCOL_VERSION`].
+    /// Decodes a poll frame at [`PROTOCOL_VERSION`].
     ///
     /// # Errors
     ///
-    /// [`ProtoError`] on truncation, bad magic or an unsupported
-    /// version.
+    /// [`ProtoError`] on truncation, bad magic or any other version.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor::new(bytes);
         let mut magic = [0u8; 4];
@@ -646,7 +638,7 @@ impl StatsRequest {
             return Err(ProtoError::BadMagic);
         }
         let version = c.u32()?;
-        if !(STATS_MIN_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(ProtoError::VersionMismatch { theirs: version });
         }
         Ok(Self { version })
@@ -688,18 +680,6 @@ pub(crate) fn state_code(s: SessionState) -> u8 {
         SessionState::Failed => 4,
         SessionState::Offline => 5,
         SessionState::Suspended => 6,
-    }
-}
-
-/// The closest v3 code for each state — what a v3 poller is told.
-/// `Offline` reads as serving (the session holds a worker and is making
-/// progress); `Suspended` reads as completed (no worker, no further
-/// wire activity unless resumed).
-pub(crate) fn state_code_v3(s: SessionState) -> u8 {
-    match s {
-        SessionState::Offline => state_code(SessionState::Serving),
-        SessionState::Suspended => state_code(SessionState::Completed),
-        other => state_code(other),
     }
 }
 
@@ -778,12 +758,8 @@ pub struct PhaseStat {
 /// cumulative since server start (completed sessions keep counting);
 /// gauges and per-session lines are instantaneous.
 ///
-/// Fields are private as of v4 — construct with
-/// [`StatsSnapshot::builder`], read through the getters. The wire
-/// layout stays v3-compatible: the v4 additions (shed / suspend /
-/// eviction counters) ride as a trailing extension that
-/// [`StatsSnapshot::decode`] treats as optional, and
-/// [`StatsSnapshot::encode_for`] omits for v3 pollers.
+/// Fields are private — construct with [`StatsSnapshot::builder`], read
+/// through the getters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     workers_active: u64,
@@ -797,7 +773,6 @@ pub struct StatsSnapshot {
     he_ops: Vec<(String, u64)>,
     phases: Vec<(String, PhaseStat)>,
     channels: Vec<(String, TrafficSnapshot)>,
-    // v4 trailing extension.
     shed_total: u64,
     suspended: u64,
     resumed_total: u64,
@@ -959,17 +934,8 @@ impl StatsSnapshot {
         &self.channels
     }
 
-    /// Encodes the snapshot (status-OK) frame in the current dialect.
+    /// Encodes the snapshot (status-OK) frame.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// Encodes the snapshot for a poller speaking `version`: a v3 frame
-    /// uses v3 session-state codes (post-v3 states downgraded) and omits
-    /// the trailing v4 counters, so pre-redesign pollers decode it
-    /// unchanged.
-    pub fn encode_for(&self, version: u32) -> Vec<u8> {
-        let v3 = version <= 3;
         let mut out = vec![STATUS_OK];
         for v in [
             self.workers_active,
@@ -986,7 +952,7 @@ impl StatsSnapshot {
         for s in &self.sessions {
             put_u64(&mut out, s.id);
             out.push(variant_code(s.variant));
-            out.push(if v3 { state_code_v3(s.state) } else { state_code(s.state) });
+            out.push(state_code(s.state));
             put_u64(&mut out, s.queries_done);
             put_u64(&mut out, s.queries_booked);
             put_u64(&mut out, s.pool_depth);
@@ -1011,10 +977,8 @@ impl StatsSnapshot {
                 put_u64(&mut out, v);
             }
         }
-        if !v3 {
-            for v in [self.shed_total, self.suspended, self.resumed_total, self.plane_evictions] {
-                put_u64(&mut out, v);
-            }
+        for v in [self.shed_total, self.suspended, self.resumed_total, self.plane_evictions] {
+            put_u64(&mut out, v);
         }
         out
     }
@@ -1096,12 +1060,8 @@ impl StatsSnapshot {
                 },
             ));
         }
-        // v4 trailing extension — absent in a v3-shaped frame, which
-        // decodes with the new counters zeroed.
-        let (shed_total, suspended, resumed_total, plane_evictions) = match c.u64() {
-            Ok(shed) => (shed, c.u64()?, c.u64()?, c.u64()?),
-            Err(_) => (0, 0, 0, 0),
-        };
+        let (shed_total, suspended, resumed_total, plane_evictions) =
+            (c.u64()?, c.u64()?, c.u64()?, c.u64()?);
         Ok(Self {
             workers_active,
             workers_cap,
@@ -1299,11 +1259,8 @@ mod tests {
         .encode();
         assert!(!is_stats_frame(&hello));
         assert!(!is_stats_frame(b"PR"));
-        // A v3 poll still decodes — the server answers in its dialect.
-        let v3 = StatsRequest { version: 3 };
-        assert_eq!(StatsRequest::decode(&v3.encode()), Ok(v3));
-        // Older than v3 decodes to a reasoned error, so the server can
-        // reject it instead of hanging up.
+        // Any other version decodes to a reasoned error, so the server
+        // can reject it instead of hanging up.
         let mut old = req.clone();
         old[4] = 2;
         assert!(matches!(
@@ -1382,20 +1339,26 @@ mod tests {
         assert_eq!(StatsSnapshot::decode(&rej), Err(ProtoError::Rejected("old poller".into())));
     }
 
+    /// A v3 poll gets the same typed rejection as a v2 poll: the v3
+    /// stats dialect is gone.
     #[test]
-    fn stats_snapshot_v3_dialect_downgrades() {
-        let snap = sample_snapshot();
-        let v3_frame = snap.encode_for(3);
-        // Shorter than the v4 frame by exactly the 4-counter tail.
-        assert_eq!(snap.encode().len(), v3_frame.len() + 32);
-        let got = StatsSnapshot::decode(&v3_frame).expect("v3 frame decodes");
-        // New counters absent → zeroed.
-        assert_eq!(got.shed_total(), 0);
-        assert_eq!(got.plane_evictions(), 0);
-        // Post-v3 states downgraded to their closest v3 code.
-        assert_eq!(got.sessions()[1].state, SessionState::Completed);
-        assert_eq!(got.sessions()[0].state, SessionState::Completed);
-        assert_eq!(got.workers_cap(), snap.workers_cap());
+    fn stats_request_v3_is_a_version_mismatch() {
+        let v3 = StatsRequest { version: 3 }.encode();
+        assert!(is_stats_frame(&v3));
+        assert_eq!(StatsRequest::decode(&v3), Err(ProtoError::VersionMismatch { theirs: 3 }));
+    }
+
+    /// The counter tail is mandatory: a frame without it (the old v3
+    /// shape) is truncated, not a snapshot with zeroed counters.
+    #[test]
+    fn stats_snapshot_without_counter_tail_is_truncated() {
+        let frame = sample_snapshot().encode();
+        let untailed = &frame[..frame.len() - 32];
+        assert_eq!(StatsSnapshot::decode(untailed), Err(ProtoError::Truncated));
+        for cut in 1..32 {
+            let partial = &frame[..frame.len() - cut];
+            assert_eq!(StatsSnapshot::decode(partial), Err(ProtoError::Truncated), "cut {cut}");
+        }
     }
 
     #[test]

@@ -152,8 +152,7 @@ impl ServerBuilder {
         Self { config: ServerConfig::test_default(model) }
     }
 
-    /// Builds on an existing config (the deprecated positional API's
-    /// escape hatch).
+    /// Builds on an existing, fully spelled-out config.
     pub fn from_config(config: ServerConfig) -> Self {
         Self { config }
     }
@@ -274,20 +273,6 @@ impl Server {
     /// Starts building a server for `model` (test-profile defaults).
     pub fn builder(model: TransformerConfig) -> ServerBuilder {
         ServerBuilder::new(model)
-    }
-
-    /// Binds a listener from a fully spelled-out config.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors, or `InvalidInput` when the model cannot be packed
-    /// under the profile's HE parameters.
-    #[deprecated(note = "use `Server::builder(model)…bind(addr)` — it returns typed `ServeError`s")]
-    pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Self> {
-        Self::bind_config(addr, config).map_err(|e| match e {
-            ServeError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidInput, other.to_string()),
-        })
     }
 
     fn bind_config<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> Result<Self, ServeError> {
@@ -489,12 +474,12 @@ impl<'a> EventLoop<'a> {
         }
         if crate::proto::is_stats_frame(frame) {
             let reply = match StatsRequest::decode(frame) {
-                Ok(req) => stats_snapshot(
+                Ok(_) => stats_snapshot(
                     self.shared,
                     self.workers.len() as u64,
                     self.waiting.len() as u64,
                 )
-                .encode_for(req.version),
+                .encode(),
                 Err(e) => StatsSnapshot::encode_reject(&e.to_string()),
             };
             nb.queue_frame(CH_CONTROL as u8, &reply);
