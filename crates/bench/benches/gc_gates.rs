@@ -115,19 +115,26 @@ fn bench_gc(c: &mut Criterion) {
     });
 
     // 32 768 random OTs (column PRGs, bit-matrix transpose, row hashes)
-    // on top of the 128 base OTs every extension starts with. An
+    // on top of the 128 base OTs a session's extension starts with. An
     // extension to zero OTs is those base OTs alone — `base_ot_128` is
-    // the share to subtract from `iknp_extend_32k`.
+    // the share to subtract from `iknp_extend_32k`. The base OTs are
+    // paid once per session, so `base_ot_128_modp2048` prices the
+    // production-parameter group at that rate.
     let count = 32_768usize;
     group.throughput(Throughput::Elements(128));
-    group.bench_function("base_ot_128", |bch| {
-        bch.iter(|| {
-            run_two_party(
-                move |t| drop(rot_receiver_offline(&OtGroup::test_768(), &t, 0, &mut seeded(515))),
-                move |t| drop(rot_sender_offline(&OtGroup::test_768(), &t, 0, &mut seeded(516))),
-            )
-        })
-    });
+    for (name, group_of) in [
+        ("base_ot_128", OtGroup::test_768 as fn() -> OtGroup),
+        ("base_ot_128_modp2048", OtGroup::rfc3526_2048),
+    ] {
+        group.bench_function(name, |bch| {
+            bch.iter(|| {
+                run_two_party(
+                    move |t| drop(rot_receiver_offline(&group_of(), &t, 0, &mut seeded(515))),
+                    move |t| drop(rot_sender_offline(&group_of(), &t, 0, &mut seeded(516))),
+                )
+            })
+        });
+    }
     group.throughput(Throughput::Elements(count as u64));
     group.bench_function("iknp_extend_32k", |bch| {
         bch.iter(|| {

@@ -2,13 +2,22 @@
 //! (evaluator) halves of one step, in both real-garbled and simulated
 //! modes. Simulated mode ships, per phase, one client → server flight as
 //! long as everything the garbled phase moves in both directions — the
-//! sizes come from `primer_gc::protocol`, which the garbled path runs.
+//! sizes come from `primer_gc::protocol` and `primer_gc::ot`, which the
+//! garbled path runs.
+//!
+//! A session's steps share one [`GcSessionOt`]: the 128 IKNP base OTs run
+//! the first time a step needs them, and every step is one window of a
+//! single session-long extension. Simulated mode mirrors that: the first
+//! step's offline placeholder carries the base OTs' bytes, once.
 
 use super::GcMode;
+use primer_gc::ot::{iknp_setup_bytes, IknpReceiver, IknpSender};
 use primer_gc::protocol::{offline_bytes, online_bytes};
 use primer_gc::{Circuit, EvaluatorSession, GarblerSession, OtGroup};
-use rand::Rng;
+use primer_math::rng::seeded;
 use primer_net::Transport;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 fn pack_bools(bits: &[bool]) -> Vec<u8> {
     let mut out = vec![0u8; bits.len().div_ceil(8)];
@@ -24,6 +33,66 @@ fn unpack_bools(bytes: &[u8], len: usize) -> Vec<bool> {
     (0..len).map(|i| (bytes[i / 8] >> (i % 8)) & 1 == 1).collect()
 }
 
+/// Where a session's base OTs stand.
+#[derive(Debug)]
+enum BaseOts<E> {
+    /// Not run yet: the domain-separated rng they will draw from.
+    Pending(StdRng),
+    /// Run (garbled mode): the session's extension state.
+    Ready(E),
+    /// Carried by a placeholder (simulated mode): nothing to keep.
+    Metered,
+}
+
+/// One party's session-long OT state for its GC steps: the IKNP
+/// extension state `E` ([`IknpSender`] on the garbling client,
+/// [`IknpReceiver`] on the evaluating server) once the base OTs have run.
+/// Steps advance it in offline production order, which both parties
+/// share, so their extension windows line up.
+#[derive(Debug)]
+pub struct GcSessionOt<E> {
+    mode: GcMode,
+    group: OtGroup,
+    base: BaseOts<E>,
+}
+
+/// The client's (garbler's) session OT state.
+pub type GcClientOt = GcSessionOt<IknpSender>;
+/// The server's (evaluator's) session OT state.
+pub type GcServerOt = GcSessionOt<IknpReceiver>;
+
+impl<E> GcSessionOt<E> {
+    /// A session's OT state before its first step: the base OTs will run
+    /// in `group`, drawing from `base_rng` (never from a bundle rng).
+    pub fn new(mode: GcMode, group: OtGroup, base_rng: StdRng) -> Self {
+        Self { mode, group, base: BaseOts::Pending(base_rng) }
+    }
+
+    /// The extension state, running the base OTs with `setup` first if
+    /// this is the session's first garbled step.
+    fn extension(&mut self, setup: impl FnOnce(&OtGroup, &mut StdRng) -> E) -> &mut E {
+        if let BaseOts::Pending(rng) = &mut self.base {
+            self.base = BaseOts::Ready(setup(&self.group, rng));
+        }
+        match &mut self.base {
+            BaseOts::Ready(ext) => ext,
+            _ => unreachable!("a garbled step in a simulated session"),
+        }
+    }
+
+    /// The base-OT bytes a simulated step's offline placeholder carries:
+    /// all of them on the session's first step, none after.
+    fn metered_base_bytes(&mut self) -> usize {
+        match self.base {
+            BaseOts::Pending(_) => {
+                self.base = BaseOts::Metered;
+                iknp_setup_bytes(&self.group)
+            }
+            _ => 0,
+        }
+    }
+}
+
 /// Client (garbler) half of one step execution.
 #[derive(Debug)]
 pub struct GcClientStep {
@@ -37,7 +106,8 @@ impl GcClientStep {
         Self { mode: GcMode::Simulated, session: None }
     }
 
-    /// Offline phase: garble (or ship placeholder traffic).
+    /// Offline phase of a one-step session: fresh session OT state (its
+    /// base-OT rng drawn from `rng`) and this step's window of it.
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
         mode: GcMode,
@@ -45,13 +115,29 @@ impl GcClientStep {
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
+        let mut ot = GcClientOt::new(mode, group.clone(), seeded(rng.gen()));
+        Self::offline_in(circuit, &mut ot, transport, rng)
+    }
+
+    /// Offline phase of one step of a session: garble and take the next
+    /// window of the session's extension (or ship placeholder traffic).
+    pub fn offline_in<R: Rng + ?Sized>(
+        circuit: &Circuit,
+        ot: &mut GcClientOt,
+        transport: &dyn Transport,
+        rng: &mut R,
+    ) -> Self {
+        let mode = ot.mode;
         match mode {
             GcMode::Garbled => {
-                let session = GarblerSession::offline(circuit, group, transport, rng);
+                let ext =
+                    ot.extension(|group, base_rng| IknpSender::setup(group, transport, base_rng));
+                let session = GarblerSession::offline(circuit, ext, transport, rng);
                 Self { mode, session: Some(session) }
             }
             GcMode::Simulated => {
-                crate::wire::send_placeholder(transport, offline_bytes(circuit, group));
+                let bytes = offline_bytes(circuit) + ot.metered_base_bytes();
+                crate::wire::send_placeholder(transport, bytes);
                 Self { mode, session: None }
             }
         }
@@ -88,7 +174,8 @@ impl GcServerStep {
         Self { mode: GcMode::Simulated, session: None }
     }
 
-    /// Offline phase.
+    /// Offline phase of a one-step session (the mirror of
+    /// [`GcClientStep::offline`]).
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
         mode: GcMode,
@@ -96,9 +183,25 @@ impl GcServerStep {
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
+        let mut ot = GcServerOt::new(mode, group.clone(), seeded(rng.gen()));
+        Self::offline_in(circuit, &mut ot, transport, rng)
+    }
+
+    /// Offline phase of one step of a session: receive the garbled step
+    /// and take the next window of the session's extension (simulated:
+    /// receive the placeholder).
+    pub fn offline_in<R: Rng + ?Sized>(
+        circuit: &Circuit,
+        ot: &mut GcServerOt,
+        transport: &dyn Transport,
+        rng: &mut R,
+    ) -> Self {
+        let mode = ot.mode;
         match mode {
             GcMode::Garbled => {
-                let session = EvaluatorSession::offline(circuit, group, transport, rng);
+                let ext =
+                    ot.extension(|group, base_rng| IknpReceiver::setup(group, transport, base_rng));
+                let session = EvaluatorSession::offline(circuit, ext, transport, rng);
                 Self { mode, session: Some(session) }
             }
             GcMode::Simulated => {
@@ -280,56 +383,71 @@ mod tests {
         }
     }
 
-    /// What one phase of one step puts on the wire: `(client → server,
-    /// server → client)` bytes and the flights, offline alone when
-    /// `online` is false.
-    fn step_traffic(circuit: &Circuit, mode: GcMode, online: bool) -> (u64, u64, u64) {
+    /// What a session running `steps` copies of `circuit` puts on the
+    /// wire: total bytes, server → client bytes and flights, offline
+    /// alone when `online` is false.
+    fn session_traffic(circuit: &Circuit, mode: GcMode, steps: usize, online: bool) -> [u64; 3] {
         let (c1, c2) = (circuit.clone(), circuit.clone());
         let (_, _, meter) = run_two_party(
             move |tr| {
-                let step =
-                    GcClientStep::offline(&c1, mode, &OtGroup::test_768(), &tr, &mut seeded(303));
-                if online {
-                    step.online(&c1, &tr, &vec![false; c1.garbler_inputs as usize]);
+                let mut ot = GcClientOt::new(mode, OtGroup::test_768(), seeded(305));
+                let mut rng = seeded(303);
+                for _ in 0..steps {
+                    let step = GcClientStep::offline_in(&c1, &mut ot, &tr, &mut rng);
+                    if online {
+                        step.online(&c1, &tr, &vec![false; c1.garbler_inputs as usize]);
+                    }
                 }
             },
             move |tr| {
-                let step =
-                    GcServerStep::offline(&c2, mode, &OtGroup::test_768(), &tr, &mut seeded(304));
-                if online {
-                    step.online(&c2, &tr, &vec![true; c2.evaluator_inputs as usize]);
+                let mut ot = GcServerOt::new(mode, OtGroup::test_768(), seeded(306));
+                let mut rng = seeded(304);
+                for _ in 0..steps {
+                    let step = GcServerStep::offline_in(&c2, &mut ot, &tr, &mut rng);
+                    if online {
+                        step.online(&c2, &tr, &vec![true; c2.evaluator_inputs as usize]);
+                    }
                 }
             },
         );
-        (meter.c2s.bytes(), meter.s2c.bytes(), meter.total_messages())
+        [meter.total_bytes(), meter.s2c.bytes(), meter.total_messages()]
     }
 
-    /// Simulated mode meters what garbled mode ships, phase by phase. It
-    /// keeps each phase to its one client → server flight, so the bytes
-    /// the garbled phase sends back (base-OT replies, IKNP columns, flip
-    /// bits) ride in that flight too: the phase totals agree, not each
-    /// direction's share.
+    /// Simulated mode meters what garbled mode ships, phase by phase: a
+    /// step costs its frame and extension window offline and its labels
+    /// and derandomization online in both modes, and the session's first
+    /// step adds the 128 base OTs once. Simulated mode keeps each phase
+    /// to its one client → server flight, so the bytes the garbled phase
+    /// sends back (base-OT replies, IKNP columns, flip bits) ride in that
+    /// flight too: the phase totals agree, not each direction's share.
     #[test]
     fn simulated_steps_meter_the_garbled_bytes() {
         let gc = GcNumCfg { width: 32, frac: 12 };
+        let base = iknp_setup_bytes(&OtGroup::test_768()) as u64;
         for kind in [
             GcStepKind::TruncSat { elems: 5 },
             GcStepKind::Softmax { rows: 2, cols: 4, prescale: fxp::const_q(0.5, 12) },
         ] {
             let circuit = build_step_circuit(&kind, &spec(), gc);
-            let mut phases = [[0u64; 2]; 2];
-            for (m, mode) in [GcMode::Simulated, GcMode::Garbled].into_iter().enumerate() {
-                let (off_c2s, off_s2c, off_flights) = step_traffic(&circuit, mode, false);
-                let (all_c2s, all_s2c, all_flights) = step_traffic(&circuit, mode, true);
-                phases[m] = [off_c2s + off_s2c, all_c2s + all_s2c - off_c2s - off_s2c];
+            let per_step = [offline_bytes(&circuit) as u64, online_bytes(&circuit) as u64];
+            for mode in [GcMode::Simulated, GcMode::Garbled] {
+                let [off1, ..] = session_traffic(&circuit, mode, 1, false);
+                let [off2, off2_s2c, off2_flights] = session_traffic(&circuit, mode, 2, false);
+                let [all1, ..] = session_traffic(&circuit, mode, 1, true);
+                let [all2, all2_s2c, all2_flights] = session_traffic(&circuit, mode, 2, true);
+                let second_step = [off2 - off1, (all2 - off2) - (all1 - off1)];
+                assert_eq!(second_step, per_step, "{kind:?} {mode:?}: [offline, online]");
+                assert_eq!(off1, base + per_step[0], "{kind:?} {mode:?}: first step");
                 if mode == GcMode::Simulated {
-                    assert_eq!((off_s2c, all_s2c), (0, 0), "{kind:?}");
-                    assert_eq!((off_flights, all_flights), (1, 2), "{kind:?}");
+                    assert_eq!((off2_s2c, all2_s2c), (0, 0), "{kind:?}");
+                    assert_eq!((off2_flights, all2_flights), (2, 4), "{kind:?}");
                 } else {
-                    assert!(off_s2c > 0 && all_s2c > off_s2c, "{kind:?}");
+                    assert!(off2_s2c > 0 && all2_s2c > off2_s2c, "{kind:?}");
+                    // Base OTs 3 once; frame + columns per step; labels,
+                    // flips and corrections per step online.
+                    assert_eq!((off2_flights, all2_flights), (3 + 2 * 2, 3 + 2 * 2 + 2 * 3));
                 }
             }
-            assert_eq!(phases[0], phases[1], "{kind:?}: [offline, online] simulated vs garbled");
         }
     }
 

@@ -287,4 +287,4 @@ pub fn bits_to_ring_words(bits: &[bool], rb: usize) -> Vec<u64> {
 
 mod exec;
 
-pub use exec::{GcClientStep, GcServerStep};
+pub use exec::{GcClientOt, GcClientStep, GcServerOt, GcServerStep, GcSessionOt};

@@ -3,10 +3,10 @@
 use super::offline::{produce_client_bundles, ClientBundle};
 use super::pool::{refill_quota, OfflinePool, SharedPool, SharedPoolGuard};
 use super::{online, ProtocolVariant};
-use crate::gcmod::GcMode;
+use crate::gcmod::{GcClientOt, GcMode};
 use crate::system::SystemConfig;
 use crate::wire;
-use primer_gc::{Circuit, OtGroup};
+use primer_gc::Circuit;
 use primer_he::{BatchEncoder, Encryptor, HeError, KeyGenerator};
 use primer_math::rng::derive;
 use primer_net::Transport;
@@ -16,22 +16,22 @@ use std::sync::Arc;
 
 /// Everything Setup establishes once on the client, shareable between
 /// the offline-producer thread and the online thread: the secret key
-/// (inside the encryptor), encoder, OT group and step circuits. All
-/// methods on these take `&self`; the only mutable per-session state is
-/// the mask rng, which lives with whichever half samples masks.
+/// (inside the encryptor), encoder and step circuits. All methods on
+/// these take `&self`; the only mutable per-session state is the mask
+/// rng and the GC steps' OT state, which live with whichever half
+/// produces bundles.
 pub(crate) struct ClientCore {
     pub(crate) sys: SystemConfig,
     pub(crate) variant: ProtocolVariant,
-    pub(crate) mode: GcMode,
     pub(crate) fixed: Arc<FixedTransformer>,
     pub(crate) circuits: Arc<Vec<Circuit>>,
     pub(crate) encoder: BatchEncoder,
     pub(crate) encryptor: Encryptor,
-    pub(crate) group: OtGroup,
 }
 
 /// Long-lived client session state: the shared [`ClientCore`] plus the
-/// mask rng and a pool of precomputed offline bundles.
+/// mask rng, the GC steps' session OT state and a pool of precomputed
+/// offline bundles.
 ///
 /// The Galois keys generated here are shipped to the server as real
 /// serialized bytes during [`ClientSession::setup`]; the client itself
@@ -39,6 +39,7 @@ pub(crate) struct ClientCore {
 pub struct ClientSession {
     core: Arc<ClientCore>,
     rng: StdRng,
+    ot: GcClientOt,
     pool: OfflinePool<ClientBundle>,
     pool_target: usize,
     total_queries: usize,
@@ -66,7 +67,9 @@ impl ClientSession {
         let encoder = BatchEncoder::new(&sys.he);
         let keygen = KeyGenerator::new(&sys.he, &mut rng);
         let encryptor = Encryptor::new(&sys.he, keygen.secret_key().clone(), seed ^ 0x5eed);
-        let group = sys.ot_group.group();
+        // The base OTs are offline work: the first refill runs them, from
+        // their own stream, so no bundle's randomness shifts with them.
+        let ot = GcClientOt::new(mode, sys.ot_group.group(), derive(seed, "client-gc-base-ot"));
         // Exact key plan: a dedicated key for every step the selected
         // layouts will rotate by — including the hoisted input-rotation
         // steps, which admit no power-of-two fallback. Both parties
@@ -80,14 +83,13 @@ impl ClientSession {
             core: Arc::new(ClientCore {
                 sys,
                 variant,
-                mode,
                 fixed,
                 circuits,
                 encoder,
                 encryptor,
-                group,
             }),
             rng,
+            ot,
             pool: OfflinePool::new(),
             pool_target: pool_target.max(1),
             total_queries,
@@ -114,7 +116,7 @@ impl ClientSession {
     /// the session is unusable past this point (the wire is out of
     /// lockstep), so callers fail the whole session.
     pub fn refill(&mut self, t: &dyn Transport, k: usize) -> Result<(), HeError> {
-        for bundle in produce_client_bundles(&self.core, &mut self.rng, t, k)? {
+        for bundle in produce_client_bundles(&self.core, &mut self.rng, &mut self.ot, t, k)? {
             self.pool.put(bundle);
             self.produced += 1;
         }
@@ -155,6 +157,7 @@ impl ClientSession {
             ClientProducer {
                 core: Arc::clone(&self.core),
                 rng: self.rng,
+                ot: self.ot,
                 pool: Arc::clone(&pool),
                 remaining: self.total_queries,
                 chunk: self.pool_target,
@@ -170,6 +173,7 @@ impl ClientSession {
 pub struct ClientProducer {
     core: Arc<ClientCore>,
     rng: StdRng,
+    ot: GcClientOt,
     pool: Arc<SharedPool<ClientBundle>>,
     remaining: usize,
     /// Production batch size (= the session's pool target). Shapes the
@@ -196,7 +200,7 @@ impl ClientProducer {
         let mut produced = 0;
         while produced < self.remaining {
             let k = refill_quota(self.chunk, self.remaining, produced);
-            for bundle in produce_client_bundles(&self.core, &mut self.rng, t, k)? {
+            for bundle in produce_client_bundles(&self.core, &mut self.rng, &mut self.ot, t, k)? {
                 self.pool.put_blocking(bundle);
             }
             produced += k;

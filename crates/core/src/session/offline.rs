@@ -30,7 +30,9 @@
 //!    parallel;
 //! 4. **GC offline** (sequential): garbling / OT is interactive, so the
 //!    GC sessions run per bundle in bundle order, continuing the same
-//!    per-bundle rng.
+//!    per-bundle rng. Each step takes the next window of the session's
+//!    IKNP extension ([`GcClientOt`] / [`GcServerOt`]); the first step
+//!    of the session runs the 128 base OTs first, from their own rng.
 //!
 //! Every flight's content and order on the wire is a function of the
 //! session seeds and the (negotiated) batch size alone — never of
@@ -43,7 +45,7 @@ use super::server::ServerCore;
 use crate::chgs;
 use crate::costmodel::layout;
 use crate::fhgs::{self, FhgsDims, FhgsFlight};
-use crate::gcmod::{GcClientStep, GcServerStep};
+use crate::gcmod::{GcClientOt, GcClientStep, GcServerOt, GcServerStep};
 use crate::hgs;
 use crate::packing::{Layout, MatmulWeights, PackedMatrix};
 use crate::stats::{StepBreakdown, StepCategory};
@@ -434,6 +436,7 @@ fn finish_client_bundle(
 pub(crate) fn produce_client_bundles(
     core: &ClientCore,
     rng: &mut StdRng,
+    ot: &mut GcClientOt,
     t: &dyn Transport,
     k: usize,
 ) -> Result<Vec<ClientBundle>, HeError> {
@@ -475,7 +478,7 @@ pub(crate) fn produce_client_bundles(
             bundle.gc = core
                 .circuits
                 .iter()
-                .map(|c| GcClientStep::offline(c, core.mode, &core.group, t, &mut bundle_rng))
+                .map(|c| GcClientStep::offline_in(c, ot, t, &mut bundle_rng))
                 .collect();
             bundle
         })
@@ -642,6 +645,7 @@ pub(crate) fn produce_server_bundles(
     core: &ServerCore,
     eval: &Evaluator,
     rng: &mut StdRng,
+    ot: &mut GcServerOt,
     t: &dyn MeteredTransport,
     wire_mark: &mut TrafficSnapshot,
     k: usize,
@@ -775,7 +779,7 @@ pub(crate) fn produce_server_bundles(
             let gc: Vec<GcServerStep> = core
                 .circuits
                 .iter()
-                .map(|c| GcServerStep::offline(c, core.mode, &core.group, t, &mut rng))
+                .map(|c| GcServerStep::offline_in(c, ot, t, &mut rng))
                 .collect();
             let gc_delta = timer.absorb_returning(&mut steps, StepCategory::Others, true);
             let traffic = traffic.plus(&gc_delta);

@@ -4,10 +4,10 @@ use super::offline::{produce_server_bundles, ServerBundle};
 use super::plane::ModelPlane;
 use super::pool::{refill_quota, OfflinePool, PoolWatch, SharedPool, SharedPoolGuard};
 use super::{online, ProtocolVariant};
-use crate::gcmod::GcMode;
+use crate::gcmod::{GcMode, GcServerOt};
 use crate::stats::{PhaseCost, StepBreakdown};
 use crate::system::SystemConfig;
-use primer_gc::{Circuit, OtGroup};
+use primer_gc::Circuit;
 use primer_he::{BatchEncoder, Evaluator, GaloisKeys, HeError, OpCounters, OpCounts};
 use primer_math::rng::derive;
 use primer_math::MatZ;
@@ -67,8 +67,8 @@ pub struct ServeRound {
 
 /// Everything Setup establishes once on the server, shareable between
 /// the offline-producer thread and the online thread: the received
-/// Galois keys, encoder, OT group, step circuits and the ring-domain
-/// weights. All methods on these take `&self`.
+/// Galois keys, encoder, step circuits and the ring-domain weights. All
+/// methods on these take `&self`.
 pub(crate) struct ServerCore {
     pub(crate) sys: SystemConfig,
     pub(crate) variant: ProtocolVariant,
@@ -76,19 +76,19 @@ pub(crate) struct ServerCore {
     pub(crate) circuits: Arc<Vec<Circuit>>,
     pub(crate) encoder: BatchEncoder,
     pub(crate) gk: GaloisKeys,
-    pub(crate) group: OtGroup,
     /// Ring weights + prepared mask planes — possibly shared with other
     /// concurrent sessions of the same model (serving registry cache).
     pub(crate) plane: Arc<ModelPlane>,
 }
 
 /// Long-lived server session state: the shared [`ServerCore`] plus the
-/// evaluator (HE op counters), correction rng, offline pool and cost
-/// accounting.
+/// evaluator (HE op counters), correction rng, the GC steps' session OT
+/// state, offline pool and cost accounting.
 pub struct ServerSession {
     core: Arc<ServerCore>,
     eval: Evaluator,
     rng: StdRng,
+    ot: GcServerOt,
     pool: OfflinePool<ServerBundle>,
     pool_target: usize,
     total_queries: usize,
@@ -179,7 +179,7 @@ impl ServerSession {
         let rng = derive(seed, "server");
         let encoder = BatchEncoder::new(&sys.he);
         let eval = Evaluator::new(&sys.he);
-        let group = sys.ot_group.group();
+        let ot = GcServerOt::new(mode, sys.ot_group.group(), derive(seed, "server-gc-base-ot"));
         let key_bytes = t.recv();
         let gk = GaloisKeys::from_bytes(&sys.he, &key_bytes)?;
         // Rotation plan check: every step the prepared chains will issue
@@ -227,11 +227,11 @@ impl ServerSession {
                 circuits,
                 encoder,
                 gk,
-                group,
                 plane,
             }),
             eval,
             rng,
+            ot,
             pool: OfflinePool::new(),
             pool_target: pool_target.max(1),
             total_queries,
@@ -267,6 +267,7 @@ impl ServerSession {
             &self.core,
             &self.eval,
             &mut self.rng,
+            &mut self.ot,
             t,
             &mut self.wire_mark,
             k,
@@ -315,6 +316,7 @@ impl ServerSession {
                 core: Arc::clone(&self.core),
                 eval: producer_eval,
                 rng: self.rng,
+                ot: self.ot,
                 pool: Arc::clone(&pool),
                 remaining: self.total_queries,
                 chunk: self.pool_target,
@@ -364,6 +366,7 @@ pub struct ServerProducer {
     core: Arc<ServerCore>,
     eval: Evaluator,
     rng: StdRng,
+    ot: GcServerOt,
     pool: Arc<SharedPool<ServerBundle>>,
     remaining: usize,
     /// Production batch size (= the session's pool target). Shapes the
@@ -395,6 +398,7 @@ impl ServerProducer {
                 &self.core,
                 &self.eval,
                 &mut self.rng,
+                &mut self.ot,
                 t,
                 &mut self.wire_mark,
                 k,

@@ -188,7 +188,6 @@ impl ServerSuspendImage {
         let gk = GaloisKeys::from_bytes(&sys.he, &self.gk_bytes)?;
         let encoder = BatchEncoder::new(&sys.he);
         let eval = Evaluator::new(&sys.he);
-        let group = sys.ot_group.group();
         let core = Arc::new(ServerCore {
             sys,
             variant: self.variant,
@@ -197,7 +196,6 @@ impl ServerSuspendImage {
             circuits,
             encoder,
             gk,
-            group,
             plane,
         });
         let pool = Arc::new(SharedPool::new(self.bundles.len().max(1)));

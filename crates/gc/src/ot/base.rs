@@ -1,6 +1,8 @@
 //! Chou–Orlandi "simplest OT" over a MODP group.
 //!
-//! Used only to bootstrap the IKNP extension (128 base OTs per session).
+//! Used only to bootstrap the IKNP extension: 128 base OTs per session,
+//! batched into three flights (the sender's `A`, every `B`, every masked
+//! pair), however many OTs the session then extends.
 
 use crate::aes::Aes128;
 use crate::ot::bignum::{BigUint, MontCtx};
@@ -85,32 +87,60 @@ pub fn base_ot_bytes(group: &OtGroup, count: usize) -> usize {
     group.element_bytes() * (1 + count) + 32 * count
 }
 
-/// Sender side of `choices.len()` base OTs; `pairs[i]` are the two
-/// 128-bit messages of OT `i`.
+/// Both keys of every OT on the sender's side: `k0 = H(B^a)` and
+/// `k1 = H((B/A)^a)`, the latter as `B^a · (A^a)^{-1}` — one
+/// exponentiation per OT, plus `A^a` and its inverse once per batch.
+fn sender_keys(group: &OtGroup, a: &[u8], big_a: &BigUint, bs: &[BigUint]) -> Vec<(u128, u128)> {
+    let aes = Aes128::fixed();
+    let a_to_a_inv = group.ctx.inv_mod(&group.ctx.pow_mod(big_a, a));
+    bs.iter()
+        .enumerate()
+        .map(|(i, big_b)| {
+            let b_to_a = group.ctx.pow_mod(big_b, a);
+            let k0 = hash_to_key(&aes, &b_to_a, i as u64);
+            let k1 = hash_to_key(&aes, &group.ctx.mul_mod(&b_to_a, &a_to_a_inv), i as u64);
+            (k0, k1)
+        })
+        .collect()
+}
+
+/// Sender side of `pairs.len()` base OTs; `pairs[i]` are the two 128-bit
+/// messages of OT `i`. Three flights for the whole batch: `A` out, every
+/// `B` in, every masked pair out.
+///
+/// # Panics
+///
+/// Panics if the receiver's flight is not one group element per OT.
 pub fn base_ot_send<R: Rng + ?Sized>(
     group: &OtGroup,
     transport: &dyn Transport,
     pairs: &[(u128, u128)],
     rng: &mut R,
 ) {
-    let aes = Aes128::fixed();
     let a = group.random_exponent(rng);
     let big_a = group.pow_g(&a);
     transport.send_owned(big_a.to_bytes_le());
-    let a_inv = group.ctx.inv_mod(&big_a);
-    for (i, &(m0, m1)) in pairs.iter().enumerate() {
-        let b_bytes = transport.recv();
-        let big_b = BigUint::from_bytes_le(&b_bytes, group.limbs);
-        let k0 = hash_to_key(&aes, &group.ctx.pow_mod(&big_b, &a), i as u64);
-        let b_over_a = group.ctx.mul_mod(&big_b, &a_inv);
-        let k1 = hash_to_key(&aes, &group.ctx.pow_mod(&b_over_a, &a), i as u64);
-        let mut payload = (m0 ^ k0).to_le_bytes().to_vec();
+    let b_bytes = transport.recv();
+    assert_eq!(b_bytes.len(), pairs.len() * group.element_bytes(), "base-OT B flight length");
+    let bs: Vec<BigUint> = b_bytes
+        .chunks_exact(group.element_bytes())
+        .map(|b| BigUint::from_bytes_le(b, group.limbs))
+        .collect();
+    let mut payload = Vec::with_capacity(32 * pairs.len());
+    for (&(m0, m1), (k0, k1)) in pairs.iter().zip(sender_keys(group, &a, &big_a, &bs)) {
+        payload.extend_from_slice(&(m0 ^ k0).to_le_bytes());
         payload.extend_from_slice(&(m1 ^ k1).to_le_bytes());
-        transport.send_owned(payload);
     }
+    transport.send_owned(payload);
 }
 
 /// Receiver side; returns message `choices[i] ? m1 : m0` for each OT.
+/// Every `g^b` is computed before `A` arrives and every key before the
+/// sender's reply, so each party's exponentiations overlap the other's.
+///
+/// # Panics
+///
+/// Panics if the sender's reply flight is not two messages per OT.
 pub fn base_ot_receive<R: Rng + ?Sized>(
     group: &OtGroup,
     transport: &dyn Transport,
@@ -118,20 +148,30 @@ pub fn base_ot_receive<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<u128> {
     let aes = Aes128::fixed();
+    let exps: Vec<Vec<u8>> = choices.iter().map(|_| group.random_exponent(rng)).collect();
+    let g_bs: Vec<BigUint> = exps.iter().map(|b| group.pow_g(b)).collect();
     let big_a = BigUint::from_bytes_le(&transport.recv(), group.limbs);
-    let mut out = Vec::with_capacity(choices.len());
-    for (i, &c) in choices.iter().enumerate() {
-        let b = group.random_exponent(rng);
-        let g_b = group.pow_g(&b);
+    let mut bs = Vec::with_capacity(choices.len() * group.element_bytes());
+    for (g_b, &c) in g_bs.into_iter().zip(choices) {
         let big_b = if c { group.ctx.mul_mod(&g_b, &big_a) } else { g_b };
-        transport.send_owned(big_b.to_bytes_le());
-        let key = hash_to_key(&aes, &group.ctx.pow_mod(&big_a, &b), i as u64);
-        let payload = transport.recv();
-        let m0 = u128::from_le_bytes(payload[..16].try_into().expect("16 bytes"));
-        let m1 = u128::from_le_bytes(payload[16..32].try_into().expect("16 bytes"));
-        out.push(if c { m1 ^ key } else { m0 ^ key });
+        bs.extend_from_slice(&big_b.to_bytes_le());
     }
-    out
+    transport.send_owned(bs);
+    let keys: Vec<u128> = exps
+        .iter()
+        .enumerate()
+        .map(|(i, b)| hash_to_key(&aes, &group.ctx.pow_mod(&big_a, b), i as u64))
+        .collect();
+    let payload = transport.recv();
+    assert_eq!(payload.len(), 32 * choices.len(), "base-OT reply flight length");
+    keys.into_iter()
+        .zip(choices)
+        .zip(payload.chunks_exact(32))
+        .map(|((key, &c), masked)| {
+            let m = &masked[if c { 16 } else { 0 }..][..16];
+            u128::from_le_bytes(m.try_into().expect("16 bytes")) ^ key
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -155,6 +195,56 @@ mod tests {
         for i in 0..8 {
             let want = if choices[i] { pairs[i].1 } else { pairs[i].0 };
             assert_eq!(got[i], want, "ot {i}");
+        }
+    }
+
+    /// The whole batch is three flights, and its bytes are what
+    /// `base_ot_bytes` says.
+    #[test]
+    fn base_ots_batch_into_three_flights() {
+        let group = OtGroup::test_768();
+        let (_, _, meter) = run_two_party(
+            move |t| base_ot_receive(&OtGroup::test_768(), &t, &[true; 128], &mut seeded(112)),
+            move |t| {
+                base_ot_send(&OtGroup::test_768(), &t, &[(1, 2); 128], &mut seeded(113));
+            },
+        );
+        assert_eq!(meter.total_messages(), 3);
+        assert_eq!(meter.total_bytes() as usize, base_ot_bytes(&group, 128));
+    }
+
+    /// `B^a · (A^a)^{-1}` is `(B/A)^a`: the sender's keys match the
+    /// two-exponentiation formula bit for bit, in both groups.
+    #[test]
+    fn sender_keys_match_the_two_pow_formula() {
+        let mut rng = seeded(114);
+        for group in [OtGroup::test_768(), OtGroup::rfc3526_2048()] {
+            let aes = Aes128::fixed();
+            let a = group.random_exponent(&mut rng);
+            let big_a = group.pow_g(&a);
+            let a_inv = group.ctx.inv_mod(&big_a);
+            let bs: Vec<BigUint> = (0..4)
+                .map(|i| {
+                    let g_b = group.pow_g(&group.random_exponent(&mut rng));
+                    if i % 2 == 1 {
+                        group.ctx.mul_mod(&g_b, &big_a)
+                    } else {
+                        g_b
+                    }
+                })
+                .collect();
+            let want: Vec<(u128, u128)> = bs
+                .iter()
+                .enumerate()
+                .map(|(i, b)| {
+                    let b_over_a = group.ctx.mul_mod(b, &a_inv);
+                    (
+                        hash_to_key(&aes, &group.ctx.pow_mod(b, &a), i as u64),
+                        hash_to_key(&aes, &group.ctx.pow_mod(&b_over_a, &a), i as u64),
+                    )
+                })
+                .collect();
+            assert_eq!(sender_keys(&group, &a, &big_a, &bs), want, "{} limbs", group.limbs);
         }
     }
 

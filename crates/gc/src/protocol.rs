@@ -5,7 +5,8 @@
 //! evaluates** (its shares enter via precomputed OTs; the server learns
 //! the decoded output, which is the re-masked next-layer share).
 //!
-//! Offline: garbling, table transfer, IKNP random-OT setup.
+//! Offline: garbling, table transfer, and one window of the session's
+//!          IKNP extension (the base OTs behind it run once per session).
 //! Online:  garbler input labels + OT derandomization (two flights), then
 //!          local evaluation — matching the paper's "only unencrypted
 //!          computations online" property for the GC phase.
@@ -14,16 +15,16 @@ use crate::circuit::Circuit;
 use crate::garble::{evaluate, frame_len, garble, GarbledCircuit, InputEncoding};
 use crate::label::Label;
 use crate::ot::{
-    rot_offline_bytes, rot_online_bytes, rot_receiver_offline, rot_sender_offline, OtGroup,
-    RotReceiver, RotSender,
+    rot_extension_bytes, rot_online_bytes, IknpReceiver, IknpSender, RotReceiver, RotSender,
 };
 use primer_net::Transport;
 use rand::Rng;
 
 /// Bytes the offline phase of `circuit` ships, both directions together:
-/// the garbled frame and the random-OT set-up for the evaluator's inputs.
-pub fn offline_bytes(circuit: &Circuit, group: &OtGroup) -> usize {
-    frame_len(circuit) + rot_offline_bytes(group, circuit.evaluator_inputs as usize)
+/// the garbled frame and the extension window for the evaluator's inputs
+/// (the session's base OTs are not in it — see `ot::iknp_setup_bytes`).
+pub fn offline_bytes(circuit: &Circuit) -> usize {
+    frame_len(circuit) + rot_extension_bytes(circuit.evaluator_inputs as usize)
 }
 
 /// Bytes the online phase of `circuit` ships, both directions together:
@@ -41,17 +42,17 @@ pub struct GarblerSession {
 
 impl GarblerSession {
     /// Offline phase: garbles `circuit`, ships tables + output decode
-    /// info, and prepares random OTs for the evaluator's inputs.
+    /// info, and takes the next window of the session's extension `ot`
+    /// as random OTs for the evaluator's inputs.
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
-        group: &OtGroup,
+        ot: &mut IknpSender,
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
         let (garbled, encoding) = garble(circuit, rng);
         transport.send_owned(garbled.into_frame());
-        let rots =
-            rot_sender_offline(group, transport, circuit.evaluator_inputs as usize, rng);
+        let rots = ot.extend(transport, circuit.evaluator_inputs as usize);
         Self { encoding, rots }
     }
 
@@ -79,8 +80,9 @@ pub struct EvaluatorSession {
 }
 
 impl EvaluatorSession {
-    /// Offline phase: receives the garbled tables and runs the OT setup.
-    /// The received frame is kept as it arrived and evaluated in place.
+    /// Offline phase: receives the garbled tables and takes the next
+    /// window of the session's extension `ot`. The received frame is kept
+    /// as it arrived and evaluated in place.
     ///
     /// # Panics
     ///
@@ -88,14 +90,13 @@ impl EvaluatorSession {
     /// counts or decode bytes) — checked here, before anything indexes it.
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
-        group: &OtGroup,
+        ot: &mut IknpReceiver,
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
         let garbled = GarbledCircuit::from_frame(transport.recv(), circuit)
             .unwrap_or_else(|e| panic!("garbler sent a bad frame: {e}"));
-        let rots =
-            rot_receiver_offline(group, transport, circuit.evaluator_inputs as usize, rng);
+        let rots = ot.extend(transport, circuit.evaluator_inputs as usize, rng);
         Self { garbled, rots }
     }
 
@@ -122,6 +123,7 @@ impl EvaluatorSession {
 mod tests {
     use super::*;
     use crate::builder::{from_bits_signed, to_bits, CircuitBuilder};
+    use crate::ot::OtGroup;
     use primer_math::rng::seeded;
     use primer_net::run_two_party;
 
@@ -141,14 +143,14 @@ mod tests {
         let (_, result, meter) = run_two_party(
             move |t| {
                 let mut rng = seeded(130);
-                let sess =
-                    GarblerSession::offline(&circuit_c, &OtGroup::test_768(), &t, &mut rng);
+                let mut ot = IknpSender::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = GarblerSession::offline(&circuit_c, &mut ot, &t, &mut rng);
                 sess.online(&t, &to_bits(-23, width));
             },
             move |t| {
                 let mut rng = seeded(131);
-                let sess =
-                    EvaluatorSession::offline(&circuit_s, &OtGroup::test_768(), &t, &mut rng);
+                let mut ot = IknpReceiver::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = EvaluatorSession::offline(&circuit_s, &mut ot, &t, &mut rng);
                 sess.online(&circuit_s, &t, &to_bits(17, width))
             },
         );
@@ -170,12 +172,14 @@ mod tests {
         let (_, (result, online_msgs), _) = run_two_party(
             move |t| {
                 let mut rng = seeded(132);
-                let sess = GarblerSession::offline(&c1, &OtGroup::test_768(), &t, &mut rng);
+                let mut ot = IknpSender::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = GarblerSession::offline(&c1, &mut ot, &t, &mut rng);
                 sess.online(&t, &to_bits(3, 4));
             },
             move |t| {
                 let mut rng = seeded(133);
-                let sess = EvaluatorSession::offline(&c2, &OtGroup::test_768(), &t, &mut rng);
+                let mut ot = IknpReceiver::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = EvaluatorSession::offline(&c2, &mut ot, &t, &mut rng);
                 let before = t.meter().total_messages();
                 let out = sess.online(&c2, &t, &to_bits(4, 4));
                 let after = t.meter().total_messages();

@@ -59,21 +59,28 @@ fn loopback_serving_is_bit_identical_for_all_variants() {
 }
 
 /// Real garbling + OT over TCP: same bit-exactness bar as
-/// `tests/garbled_mode.rs` runs in-process.
+/// `tests/garbled_mode.rs` runs in-process. Two queries through a pool
+/// of one make two refills, so the session's OT state crosses into both
+/// pipelined producers and the second refill takes a second extension
+/// window over the same base OTs.
 #[test]
 fn loopback_serving_with_real_garbling_matches_engine() {
     let model = TransformerConfig::test_tiny();
-    let tokens = vec![9usize, 2, 31, 12];
+    let queries = vec![vec![9usize, 2, 31, 12], vec![4usize, 9, 23, 7]];
     let (addr, server) = start_server(model.clone(), 1, 1, 1);
     let outcome = ClientBuilder::new(ProtocolVariant::Fpc)
         .mode(GcMode::Garbled)
-        .run(addr, std::slice::from_ref(&tokens))
+        .run(addr, &queries)
         .expect("client run");
     server.join().expect("server thread");
 
-    let reference = reference_engine(&model, ProtocolVariant::Fpc, GcMode::Garbled).run(&tokens);
-    assert!(reference.matches_plaintext_reference());
-    assert_eq!(outcome.predictions[0].logits, reference.logits);
+    let reference =
+        reference_engine(&model, ProtocolVariant::Fpc, GcMode::Garbled).serve(&queries);
+    for (i, (got, want)) in outcome.predictions.iter().zip(&reference).enumerate() {
+        assert!(want.matches_plaintext_reference(), "reference query {i}");
+        assert_eq!(got.logits, want.logits, "query {i} diverged over TCP");
+    }
+    assert_eq!(outcome.summary.queries, 2);
 }
 
 /// A multi-query session exercises the pipelined offline producer: the
