@@ -20,12 +20,9 @@ use crate::packing::{
     encrypt_matrix_with, matmul_out_layout, matmul_weights, Layout, MatmulWeights, Packing,
     PackedMatrix,
 };
-use crate::wire::{recv_packed, send_packed};
-use primer_he::{BatchEncoder, Encryptor, Evaluator, GaloisKeys, HeContext};
+use primer_he::{BatchEncoder, Encryptor, Evaluator, GaloisKeys};
 use primer_math::{MatZ, Ring};
-use primer_net::Transport;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Client state: one mask, one share per combined projection.
 #[derive(Debug, Clone)]
@@ -34,55 +31,6 @@ pub struct ChgsClient {
     pub rc: MatZ,
     /// Client shares `R_c·Ā_i + R_s,i`, one per projection.
     pub shares: Vec<MatZ>,
-}
-
-/// Client offline phase: one encryption of `R_c`, then one decryption
-/// per combined projection.
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt reply flight.
-#[allow(clippy::too_many_arguments)]
-pub fn client_offline<R: Rng + ?Sized>(
-    ring: &Ring,
-    packing: Packing,
-    rows: usize,
-    in_cols: usize,
-    out_cols: &[usize],
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-    rng: &mut R,
-) -> Result<ChgsClient, primer_he::HeError> {
-    let rc = MatZ::random(ring, rows, in_cols, rng);
-    client_offline_with_mask(packing, rc, out_cols, ctx, encoder, encryptor, transport)
-}
-
-/// Client offline with an externally chosen input mask.
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt reply flight.
-pub fn client_offline_with_mask(
-    packing: Packing,
-    rc: MatZ,
-    out_cols: &[usize],
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-) -> Result<ChgsClient, primer_he::HeError> {
-    let mut rng = encryptor.fork_rng();
-    let (pending, request) =
-        client_request(packing, rc, out_cols, encoder, encryptor, &mut rng);
-    send_packed(transport, &request);
-    let replies = pending
-        .reply_layouts(encoder.row_size())
-        .into_iter()
-        .map(|layout| recv_packed(transport, ctx, layout))
-        .collect::<Result<Vec<PackedMatrix>, _>>()?;
-    Ok(client_finish(pending, &replies, encoder, encryptor))
 }
 
 /// A client CHGS instance between its single request flight and the
@@ -171,46 +119,6 @@ pub fn server_compute(
         .collect()
 }
 
-/// Server offline phase against pre-combined weights; returns one `R_s`
-/// per projection. The single received `Enc(R_c)` feeds every matmul.
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt request flight.
-#[allow(clippy::too_many_arguments)]
-pub fn server_offline<R: Rng + ?Sized>(
-    ring: &Ring,
-    packing: Packing,
-    rows: usize,
-    combined_weights: &[&MatZ],
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    eval: &Evaluator,
-    keys: &GaloisKeys,
-    transport: &dyn Transport,
-    rng: &mut R,
-) -> Result<Vec<MatZ>, primer_he::HeError> {
-    let in_cols = combined_weights[0].rows();
-    for w in combined_weights {
-        assert_eq!(w.rows(), in_cols, "combined weights share the input width");
-    }
-    let in_layout = Layout::plan(packing, rows, in_cols, encoder.row_size());
-    let enc_rc = recv_packed(transport, ctx, in_layout)?;
-    let rss: Vec<MatZ> = combined_weights
-        .iter()
-        .map(|w| MatZ::random(ring, rows, w.cols(), rng))
-        .collect();
-    let rs_refs: Vec<&MatZ> = rss.iter().collect();
-    let weights: Vec<MatmulWeights<'_>> = combined_weights
-        .iter()
-        .map(|&w| MatmulWeights::Fresh { w, encoder, mode: crate::packing::RotationMode::Output })
-        .collect();
-    for reply in server_compute(&enc_rc, &weights, &rs_refs, eval, encoder, keys) {
-        send_packed(transport, &reply);
-    }
-    Ok(rss)
-}
-
 /// Server online share for projection `i`: `U·Ā_i − R_s,i` plus the
 /// public positional term `λ̄_i·2^f` (added to the server's share).
 pub fn server_online(
@@ -226,7 +134,8 @@ pub fn server_online(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primer_he::{HeParams, KeyGenerator};
+    use crate::wire::{recv_packed, send_packed};
+    use primer_he::{HeContext, HeParams, KeyGenerator};
     use primer_math::rng::seeded;
     use primer_net::run_two_party;
     use std::sync::Arc;
@@ -268,19 +177,22 @@ mod tests {
                 let encoder = BatchEncoder::new(&ctx_c);
                 let encryptor = Encryptor::new(&ctx_c, sk, 261);
                 let ring = Ring::new(ctx_c.params().t());
-                let pre = client_offline(
-                    &ring,
+                let rc = MatZ::random(&ring, rows, in_cols, &mut seeded(262));
+                let (pending, request) = client_request(
                     Packing::TokensFirst,
-                    rows,
-                    in_cols,
+                    rc,
                     &out_cols_c,
-                    &ctx_c,
                     &encoder,
                     &encryptor,
-                    &t,
-                    &mut seeded(262),
-                )
-                .expect("in-process flight");
+                    &mut seeded(264),
+                );
+                send_packed(&t, &request);
+                let replies: Vec<PackedMatrix> = pending
+                    .reply_layouts(encoder.row_size())
+                    .into_iter()
+                    .map(|layout| recv_packed(&t, &ctx_c, layout).expect("in-process flight"))
+                    .collect();
+                let pre = client_finish(pending, &replies, &encoder, &encryptor);
                 let u = x_c.sub(&ring, &pre.rc);
                 crate::wire::send_matrix(&t, &u);
                 pre.shares
@@ -289,20 +201,24 @@ mod tests {
                 let encoder = BatchEncoder::new(&ctx_s);
                 let eval = Evaluator::new(&ctx_s);
                 let ring = Ring::new(ctx_s.params().t());
-                let refs: Vec<&MatZ> = ws_s.iter().collect();
-                let rss = server_offline(
-                    &ring,
-                    Packing::TokensFirst,
-                    rows,
-                    &refs,
-                    &ctx_s,
-                    &encoder,
-                    &eval,
-                    &keys_s,
-                    &t,
-                    &mut seeded(263),
-                )
-                .expect("in-process flight");
+                let layout = Layout::plan(Packing::TokensFirst, rows, in_cols, encoder.row_size());
+                let request = recv_packed(&t, &ctx_s, layout).expect("in-process flight");
+                let mut rng = seeded(263);
+                let rss: Vec<MatZ> =
+                    ws_s.iter().map(|w| MatZ::random(&ring, rows, w.cols(), &mut rng)).collect();
+                let rs_refs: Vec<&MatZ> = rss.iter().collect();
+                let weights: Vec<MatmulWeights<'_>> = ws_s
+                    .iter()
+                    .map(|w| MatmulWeights::Fresh {
+                        w,
+                        encoder: &encoder,
+                        mode: crate::packing::RotationMode::Output,
+                    })
+                    .collect();
+                for reply in server_compute(&request, &weights, &rs_refs, &eval, &encoder, &keys_s)
+                {
+                    send_packed(&t, &reply);
+                }
                 let u = crate::wire::recv_matrix(&t).expect("in-process flight");
                 ws_s.iter()
                     .zip(rss.iter().zip(&lambdas_s))

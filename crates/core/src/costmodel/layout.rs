@@ -20,12 +20,10 @@
 //! exact dedicated-key list at Setup ([`galois_steps`]) and the server
 //! reject a mismatched plan before any offline work starts.
 //!
-//! The `PRIMER_LAYOUT` environment variable overrides the selector:
-//! `auto` (default), `output`, `input`, `zerorot`. It is re-read on
-//! every call, so tests can sweep policies in-process. Forcing `input`
-//! on a profile whose noise budget cannot carry the chain (e.g. `toy`)
-//! is unsupported — decryption will be wrong; `auto` exists precisely
-//! to make that impossible.
+//! The selector is the only layout policy: nothing overrides it, so two
+//! parties built from the same source agree on every choice by
+//! construction, and no profile can be steered into a layout its noise
+//! budget cannot carry.
 
 use crate::fhgs::{zr_layouts, FhgsDims, FhgsMode};
 use crate::packing::{
@@ -34,69 +32,6 @@ use crate::packing::{
 use crate::session::ProtocolVariant;
 use crate::system::SystemConfig;
 use primer_he::{HeParams, NoiseModel};
-
-/// The layout policy in force (the `PRIMER_LAYOUT` environment variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutPolicy {
-    /// Cost-model-driven per-matrix choice (the default).
-    Auto,
-    /// Force output-rotation chains and diagonal FHGS everywhere.
-    Output,
-    /// Force input-rotation chains on every tokens-first matmul
-    /// (diagnostic; unsupported on noise-tight profiles).
-    Input,
-    /// Force zero-rotation FHGS triples (chains stay output-rotation).
-    ZeroRot,
-}
-
-impl LayoutPolicy {
-    /// Parses a `PRIMER_LAYOUT` value. A typo'd layout silently falling
-    /// back to `auto` would invalidate whatever experiment set it, so
-    /// unknown values are a hard error — surfaced as a typed
-    /// [`crate::ConfigError`] at config assembly (session Setup), long
-    /// before any layout decision is made.
-    ///
-    /// # Errors
-    ///
-    /// The offending value, verbatim, on anything but
-    /// `auto|output|input|zerorot`.
-    pub fn parse(value: &str) -> Result<LayoutPolicy, String> {
-        match value {
-            "auto" => Ok(LayoutPolicy::Auto),
-            "output" => Ok(LayoutPolicy::Output),
-            "input" => Ok(LayoutPolicy::Input),
-            "zerorot" => Ok(LayoutPolicy::ZeroRot),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads `PRIMER_LAYOUT` (re-evaluated per call; see the module
-    /// docs). Unset means `auto`.
-    ///
-    /// # Errors
-    ///
-    /// The unrecognised value (see [`LayoutPolicy::parse`]).
-    pub fn from_env() -> Result<LayoutPolicy, String> {
-        match std::env::var("PRIMER_LAYOUT") {
-            Err(_) => Ok(LayoutPolicy::Auto),
-            Ok(v) => Self::parse(&v),
-        }
-    }
-}
-
-/// Reads `PRIMER_LAYOUT` (re-evaluated per call; see the module docs).
-///
-/// # Panics
-///
-/// Panics on an unrecognised value. This is the backstop for callers
-/// that bypassed config assembly — [`crate::SystemConfig`] validates the
-/// variable with [`LayoutPolicy::from_env`] and rejects a typo as a
-/// typed [`crate::ConfigError`] before any session reaches this point.
-pub fn policy() -> LayoutPolicy {
-    LayoutPolicy::from_env().unwrap_or_else(|other| {
-        panic!("PRIMER_LAYOUT must be auto|output|input|zerorot, got {other:?}")
-    })
-}
 
 /// Whether the input-rotation chain for `Enc(X: rows × in_cols) · W
 /// (in_cols × out_cols)` is guaranteed to decrypt correctly on this
@@ -127,27 +62,16 @@ pub fn chain_mode(
     in_cols: usize,
     out_cols: usize,
 ) -> RotationMode {
-    if packing != Packing::TokensFirst {
+    if packing != Packing::TokensFirst || !input_mode_noise_safe(params, rows, in_cols, out_cols) {
         return RotationMode::Output;
     }
-    match policy() {
-        LayoutPolicy::Output | LayoutPolicy::ZeroRot => RotationMode::Output,
-        LayoutPolicy::Input => RotationMode::Input,
-        LayoutPolicy::Auto => {
-            if !input_mode_noise_safe(params, rows, in_cols, out_cols) {
-                return RotationMode::Output;
-            }
-            let simd = params.row_size();
-            let inp =
-                matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Input);
-            let out =
-                matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Output);
-            if inp.rotations < out.rotations {
-                RotationMode::Input
-            } else {
-                RotationMode::Output
-            }
-        }
+    let simd = params.row_size();
+    let inp = matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Input);
+    let out = matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Output);
+    if inp.rotations < out.rotations {
+        RotationMode::Input
+    } else {
+        RotationMode::Output
     }
 }
 
@@ -168,11 +92,6 @@ const WIRE_NTT_EQUIV: u64 = 8;
 /// ciphertext per flight) go zero-rotation; paper-scale attention stays
 /// diagonal.
 pub fn fhgs_mode(params: &HeParams, packing: Packing, dims: FhgsDims) -> FhgsMode {
-    match policy() {
-        LayoutPolicy::ZeroRot => return FhgsMode::ZeroRotation,
-        LayoutPolicy::Output | LayoutPolicy::Input => return FhgsMode::Diagonal(packing),
-        LayoutPolicy::Auto => {}
-    }
     let d = NoiseModel::new(params).digit_total() as u64;
     let simd = params.row_size();
     // E1: Enc(R_a: n×k)·U_b (k×m); E2: Enc(R_bᵀ: m×k)·U_aᵀ (k×n).
@@ -200,18 +119,19 @@ pub fn fhgs_mode(params: &HeParams, packing: Packing, dims: FhgsDims) -> FhgsMod
     }
 }
 
-/// The rotation steps one weight chain issues under its selected mode
-/// (empty for zero-rotation FHGS; never called for it).
+/// The rotation steps one chain over an `rows × in_cols` input issues
+/// in `mode` (`out_cols` matters only to input mode's hoisted steps).
 fn chain_steps(
     params: &HeParams,
     packing: Packing,
+    mode: RotationMode,
     rows: usize,
     in_cols: usize,
     out_cols: usize,
 ) -> Vec<usize> {
     let simd = params.row_size();
     match packing {
-        Packing::TokensFirst => match chain_mode(params, packing, rows, in_cols, out_cols) {
+        Packing::TokensFirst => match mode {
             RotationMode::Output => vec![rows.next_power_of_two()],
             RotationMode::Input => tf_input_steps(rows, in_cols, out_cols, simd),
         },
@@ -254,8 +174,8 @@ fn fhgs_shapes(sys: &SystemConfig) -> [FhgsDims; 2] {
     [FhgsDims { n, k: dh, m: n }, FhgsDims { n, k: n, m: dh }]
 }
 
-/// The **exact** Galois key list a session under this config, variant
-/// and layout policy requires: the union of every selected chain's
+/// The **exact** Galois key list a session under this config and
+/// variant requires: the union of every selected chain's
 /// steps plus the FHGS online chains' steps (none in zero-rotation
 /// mode). Client Setup generates dedicated keys for precisely this
 /// list; server Setup verifies it covers the plane (including hoisted
@@ -274,7 +194,8 @@ pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> 
         }
     };
     for (rows, in_cols, out_cols) in chain_shapes(sys, variant) {
-        add(chain_steps(params, packing, rows, in_cols, out_cols));
+        let mode = chain_mode(params, packing, rows, in_cols, out_cols);
+        add(chain_steps(params, packing, mode, rows, in_cols, out_cols));
     }
     if variant.has_offline_phase() {
         for dims in fhgs_shapes(sys) {
@@ -283,8 +204,9 @@ pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> 
                 FhgsMode::Diagonal(p) => {
                     // E1 rotates an (n × k) input, E2 an (m × k) input,
                     // both in output mode (fresh-mask chains).
-                    add(chain_steps_output(params, p, dims.n, dims.k));
-                    add(chain_steps_output(params, p, dims.m, dims.k));
+                    let out = RotationMode::Output;
+                    add(chain_steps(params, p, out, dims.n, dims.k, dims.m));
+                    add(chain_steps(params, p, out, dims.m, dims.k, dims.n));
                 }
             }
         }
@@ -293,27 +215,11 @@ pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> 
     steps
 }
 
-/// Output-mode steps for a chain over an `rows × in_cols` input (the
-/// FHGS online matmuls always run output mode).
-fn chain_steps_output(params: &HeParams, packing: Packing, rows: usize, in_cols: usize) -> Vec<usize> {
-    let simd = params.row_size();
-    match packing {
-        Packing::TokensFirst => vec![rows.next_power_of_two()],
-        Packing::FeatureBased => {
-            if in_cols.next_power_of_two().min(simd) == simd {
-                vec![1]
-            } else {
-                vec![1, simd - 1]
-            }
-        }
-    }
-}
-
 /// A compact identity of every layout choice the selector makes for
-/// `(config, variant)` under the current policy — one char per weight
-/// chain (`o`/`i`) plus one per FHGS shape (`d`/`z`). Serving caches
-/// key prepared planes by `(variant, fingerprint)` so a policy change
-/// between sessions can never hand out a stale plane.
+/// `(config, variant)` — one char per weight chain (`o`/`i`) plus one
+/// per FHGS shape (`d`/`z`). Serving suspend images record it, so a
+/// server rebuilt with a different selector refuses to resume a session
+/// whose bundles were produced under the old plan.
 pub fn fingerprint(sys: &SystemConfig, variant: ProtocolVariant) -> String {
     let params = sys.he.params();
     let packing = variant.packing();
@@ -341,11 +247,9 @@ mod tests {
     use super::*;
     use primer_nn::TransformerConfig;
 
-    /// All layout decisions on the test profile, checked together in one
-    /// test because `PRIMER_LAYOUT` is process-global state.
+    /// The selector's decisions on the test profile.
     #[test]
     fn selector_decisions_on_test_profile() {
-        assert!(std::env::var("PRIMER_LAYOUT").is_err(), "env leaked into test");
         let sys = SystemConfig::test_profile(&TransformerConfig::test_tiny()).expect("profile");
         let params = sys.he.params();
 
@@ -396,10 +300,15 @@ mod tests {
             "plan must cover hoisted steps"
         );
 
-        // Fingerprints distinguish variants and mark the chosen modes.
-        let fp = fingerprint(&sys, ProtocolVariant::Fp);
-        assert!(fp.contains('i') && fp.contains('z'), "fp fingerprint {fp:?}");
-        let f = fingerprint(&sys, ProtocolVariant::F);
-        assert!(!f.contains('i'), "feature-based must stay output: {f:?}");
+        // Fingerprints are pinned: suspend images store them, so a
+        // selector change that moves one must be deliberate.
+        for (variant, want) in [
+            (ProtocolVariant::Base, "oooooooo/"),
+            (ProtocolVariant::F, "oooooooo/zz"),
+            (ProtocolVariant::Fp, "iiiiiiii/zz"),
+            (ProtocolVariant::Fpc, "iiiiiiii/zz"),
+        ] {
+            assert_eq!(fingerprint(&sys, variant), want, "{variant:?}");
+        }
     }
 }

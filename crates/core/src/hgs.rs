@@ -11,12 +11,9 @@ use crate::packing::{
     encode_matrix_in_layout, encrypt_matrix_with, matmul_out_layout, matmul_weights, Layout,
     MatmulWeights, Packing, PackedMatrix,
 };
-use crate::wire::{recv_packed, send_packed};
-use primer_he::{BatchEncoder, Encryptor, Evaluator, GaloisKeys, HeContext};
+use primer_he::{BatchEncoder, Encryptor, Evaluator, GaloisKeys};
 use primer_math::{MatZ, Ring};
-use primer_net::Transport;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Client-side result of one HGS offline run.
 #[derive(Debug, Clone)]
@@ -104,86 +101,6 @@ pub fn server_compute(
     add_plain_matrix(&product, rs, eval, encoder)
 }
 
-/// Client offline phase for a `rows × in_cols` input against a
-/// `in_cols × out_cols` server weight matrix.
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt reply flight.
-#[allow(clippy::too_many_arguments)]
-pub fn client_offline<R: Rng + ?Sized>(
-    ring: &Ring,
-    packing: Packing,
-    rows: usize,
-    in_cols: usize,
-    out_cols: usize,
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-    rng: &mut R,
-) -> Result<HgsClient, primer_he::HeError> {
-    let rc = MatZ::random(ring, rows, in_cols, rng);
-    client_offline_with_mask(ring, packing, rc, out_cols, ctx, encoder, encryptor, transport)
-}
-
-/// Client offline phase with an externally chosen input mask — used when
-/// the mask must equal an upstream GC step's re-sharing mask.
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt reply flight.
-#[allow(clippy::too_many_arguments)]
-pub fn client_offline_with_mask(
-    ring: &Ring,
-    packing: Packing,
-    rc: MatZ,
-    out_cols: usize,
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-) -> Result<HgsClient, primer_he::HeError> {
-    let _ = ring;
-    let mut rng = encryptor.fork_rng();
-    let (pending, request) = client_request(packing, rc, out_cols, encoder, encryptor, &mut rng);
-    send_packed(transport, &request);
-    let reply = recv_packed(transport, ctx, pending.reply_layout(encoder.row_size()))?;
-    Ok(client_finish(pending, &reply, encoder, encryptor))
-}
-
-/// Server offline phase; returns `R_s` (the server's correction mask).
-///
-/// # Errors
-///
-/// [`primer_he::HeError::Malformed`] on a corrupt request flight.
-///
-/// # Panics
-///
-/// Panics if a required Galois key is missing (engine setup bug).
-#[allow(clippy::too_many_arguments)]
-pub fn server_offline<R: Rng + ?Sized>(
-    ring: &Ring,
-    packing: Packing,
-    rows: usize,
-    w: &MatZ,
-    ctx: &HeContext,
-    encoder: &BatchEncoder,
-    eval: &Evaluator,
-    keys: &GaloisKeys,
-    transport: &dyn Transport,
-    rng: &mut R,
-) -> Result<MatZ, primer_he::HeError> {
-    let in_layout = Layout::plan(packing, rows, w.rows(), encoder.row_size());
-    let packed = recv_packed(transport, ctx, in_layout)?;
-    let rs = MatZ::random(ring, rows, w.cols(), rng);
-    let weights =
-        MatmulWeights::Fresh { w, encoder, mode: crate::packing::RotationMode::Output };
-    let masked = server_compute(&packed, &weights, &rs, eval, encoder, keys);
-    send_packed(transport, &masked);
-    Ok(rs)
-}
-
 /// Server online phase: the share `U·W − R_s` (pure plaintext work).
 pub fn server_online(ring: &Ring, u: &MatZ, w: &MatZ, rs: &MatZ) -> MatZ {
     u.matmul(ring, w).sub(ring, rs)
@@ -216,7 +133,8 @@ pub fn sub_plain_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use primer_he::{HeParams, KeyGenerator};
+    use crate::wire::{recv_packed, send_packed};
+    use primer_he::{HeContext, HeParams, KeyGenerator};
     use primer_math::rng::seeded;
     use primer_net::run_two_party;
     use std::sync::Arc;
@@ -241,7 +159,7 @@ mod tests {
             let ctx_c = ctx.clone();
             let ctx_s = ctx.clone();
             let (w_c, x_c) = (w.clone(), x.clone());
-            let (w_s, x_s) = (w.clone(), x.clone());
+            let w_s = w.clone();
             let keys_s = Arc::clone(&keys);
 
             let (client_out, server_out, _) = run_two_party(
@@ -249,11 +167,14 @@ mod tests {
                     let encoder = BatchEncoder::new(&ctx_c);
                     let encryptor = Encryptor::new(&ctx_c, sk, 241);
                     let ring = Ring::new(ctx_c.params().t());
-                    let hgs = client_offline(
-                        &ring, packing, rows, in_cols, out_cols, &ctx_c, &encoder,
-                        &encryptor, &t, &mut seeded(242),
-                    )
-                    .expect("in-process flight");
+                    let rc = MatZ::random(&ring, rows, in_cols, &mut seeded(242));
+                    let (pending, request) = client_request(
+                        packing, rc, out_cols, &encoder, &encryptor, &mut seeded(244),
+                    );
+                    send_packed(&t, &request);
+                    let layout = pending.reply_layout(encoder.row_size());
+                    let reply = recv_packed(&t, &ctx_c, layout).expect("in-process flight");
+                    let hgs = client_finish(pending, &reply, &encoder, &encryptor);
                     // Online: client ships U = X − Rc to the server.
                     let u = x_c.sub(&ring, &hgs.rc);
                     crate::wire::send_matrix(&t, &u);
@@ -263,16 +184,20 @@ mod tests {
                     let encoder = BatchEncoder::new(&ctx_s);
                     let eval = Evaluator::new(&ctx_s);
                     let ring = Ring::new(ctx_s.params().t());
-                    let rs = server_offline(
-                        &ring, packing, rows, &w_s, &ctx_s, &encoder, &eval, &keys_s, &t,
-                        &mut seeded(243),
-                    )
-                    .expect("in-process flight");
+                    let layout = Layout::plan(packing, rows, in_cols, encoder.row_size());
+                    let request = recv_packed(&t, &ctx_s, layout).expect("in-process flight");
+                    let rs = MatZ::random(&ring, rows, out_cols, &mut seeded(243));
+                    let weights = MatmulWeights::Fresh {
+                        w: &w_s,
+                        encoder: &encoder,
+                        mode: crate::packing::RotationMode::Output,
+                    };
+                    let reply = server_compute(&request, &weights, &rs, &eval, &encoder, &keys_s);
+                    send_packed(&t, &reply);
                     let offline_ops = eval.counts();
                     let u = crate::wire::recv_matrix(&t).expect("in-process flight");
                     let share = server_online(&ring, &u, &w_s, &rs);
                     let online_ops = eval.counts().since(&offline_ops);
-                    let _ = x_s;
                     (share, online_ops)
                 },
             );

@@ -206,52 +206,39 @@ impl ModelPlane {
         self.prepared.is_some()
     }
 
+    /// Every prepared matmul of the plane, in plane order (none when
+    /// unprepared).
+    fn prepared_matmuls(&self) -> impl Iterator<Item = &PreparedMatmul> {
+        self.prepared.iter().flat_map(|p| {
+            let blocks = p.blocks.iter().flat_map(|blk| {
+                blk.qkv.iter().flatten().chain([&blk.wo, &blk.w1, &blk.w2])
+            });
+            std::iter::once(&p.we)
+                .chain(p.combined.iter().flatten())
+                .chain(blocks)
+                .chain(std::iter::once(&p.classifier))
+        })
+    }
+
+    /// The sorted, deduplicated union of one step list per prepared
+    /// matmul.
+    fn step_union<'a>(&'a self, steps: impl Fn(&'a PreparedMatmul) -> &'a [usize]) -> Vec<usize> {
+        let mut all: Vec<usize> = self.prepared_matmuls().flat_map(steps).copied().collect();
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
     /// Resident memory pinned by the prepared masks, in bytes (0 when
     /// unprepared). Surfaced in `ServerStats`.
     pub fn mask_bytes(&self) -> u64 {
-        self.prepared.as_ref().map_or(0, |p| {
-            let mut total = p.we.mask_bytes() + p.classifier.mask_bytes();
-            if let Some(c) = &p.combined {
-                total += c.iter().map(PreparedMatmul::mask_bytes).sum::<u64>();
-            }
-            for blk in &p.blocks {
-                if let Some(qkv) = &blk.qkv {
-                    total += qkv.iter().map(PreparedMatmul::mask_bytes).sum::<u64>();
-                }
-                total += blk.wo.mask_bytes() + blk.w1.mask_bytes() + blk.w2.mask_bytes();
-            }
-            total
-        })
+        self.prepared_matmuls().map(PreparedMatmul::mask_bytes).sum()
     }
 
     /// Every rotation step the prepared chains will issue — the rotation
     /// plan Setup checks dedicated Galois keys against.
     pub fn rotation_steps(&self) -> Vec<usize> {
-        let mut steps: Vec<usize> = Vec::new();
-        let mut add = |p: &PreparedMatmul| {
-            for &s in p.rotation_steps() {
-                if !steps.contains(&s) {
-                    steps.push(s);
-                }
-            }
-        };
-        if let Some(p) = &self.prepared {
-            add(&p.we);
-            if let Some(c) = &p.combined {
-                c.iter().for_each(&mut add);
-            }
-            for blk in &p.blocks {
-                if let Some(qkv) = &blk.qkv {
-                    qkv.iter().for_each(&mut add);
-                }
-                add(&blk.wo);
-                add(&blk.w1);
-                add(&blk.w2);
-            }
-            add(&p.classifier);
-        }
-        steps.sort_unstable();
-        steps
+        self.step_union(PreparedMatmul::rotation_steps)
     }
 
     /// Every step the prepared chains issue through **hoisted**
@@ -259,31 +246,7 @@ impl ModelPlane {
     /// fall back to a power-of-two decomposition, so Setup must verify a
     /// dedicated key exists for each — see `ServerSession::setup`.
     pub fn hoisted_steps(&self) -> Vec<usize> {
-        let mut steps: Vec<usize> = Vec::new();
-        let mut add = |p: &PreparedMatmul| {
-            for &s in p.hoisted_steps() {
-                if !steps.contains(&s) {
-                    steps.push(s);
-                }
-            }
-        };
-        if let Some(p) = &self.prepared {
-            add(&p.we);
-            if let Some(c) = &p.combined {
-                c.iter().for_each(&mut add);
-            }
-            for blk in &p.blocks {
-                if let Some(qkv) = &blk.qkv {
-                    qkv.iter().for_each(&mut add);
-                }
-                add(&blk.wo);
-                add(&blk.w1);
-                add(&blk.w2);
-            }
-            add(&p.classifier);
-        }
-        steps.sort_unstable();
-        steps
+        self.step_union(PreparedMatmul::hoisted_steps)
     }
 
     /// The embed-module matmul weights in reply order (1 flight for

@@ -18,20 +18,11 @@ pub enum ConfigError {
         /// Available slots per row.
         slots: usize,
     },
-    /// `PRIMER_LAYOUT` is set to something other than
-    /// `auto|output|input|zerorot`. Rejected here, at assembly, so a
-    /// typo'd experiment fails at session Setup with a typed error
-    /// instead of panicking deep inside the first layout decision.
-    InvalidLayoutPolicy {
-        /// The offending value, verbatim.
-        value: String,
-    },
     /// `PRIMER_SIMD` is set to something other than
     /// `scalar|avx2|avx512|auto` (or the legacy `0|off|1|on`). Rejected
     /// at assembly, before the HE context that fixes the tier is built,
-    /// for the same reason as [`ConfigError::InvalidLayoutPolicy`]: a
-    /// typo'd kernel-tier experiment should fail at session Setup, not
-    /// panic.
+    /// so a typo'd kernel-tier experiment fails at session Setup with a
+    /// typed error instead of panicking.
     InvalidSimdPolicy {
         /// The offending value, verbatim.
         value: String,
@@ -43,9 +34,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::TokensExceedSlots { padded, slots } => {
                 write!(f, "padded token count {padded} exceeds HE row size {slots}")
-            }
-            ConfigError::InvalidLayoutPolicy { value } => {
-                write!(f, "PRIMER_LAYOUT must be auto|output|input|zerorot, got {value:?}")
             }
             ConfigError::InvalidSimdPolicy { value } => {
                 write!(
@@ -131,15 +119,9 @@ impl SystemConfig {
         if padded > slots {
             return Err(ConfigError::TokensExceedSlots { padded, slots });
         }
-        // Layout policy is re-read from the environment on every
-        // selector call, but a bad value is rejected once, here, so the
-        // failure surfaces at session Setup as a typed error.
-        if let Err(value) = crate::costmodel::layout::LayoutPolicy::from_env() {
-            return Err(ConfigError::InvalidLayoutPolicy { value });
-        }
-        // Same early rejection for the SIMD tier, which the context
-        // built below fixes for its lifetime: validating first keeps a
-        // typo a typed error instead of `simd::level()`'s panic.
+        // The SIMD tier is fixed by the context built below; validating
+        // it first keeps a typo a typed error instead of
+        // `simd::level()`'s panic.
         if let Err(value) = primer_he::simd::SimdPolicy::from_env() {
             return Err(ConfigError::InvalidSimdPolicy { value });
         }

@@ -80,10 +80,11 @@ impl SimdLevel {
 /// The parsed `PRIMER_SIMD` policy: what the operator *asked for*, before
 /// CPU capability clamps it to a [`SimdLevel`].
 ///
-/// Mirrors `PRIMER_LAYOUT`'s [`parse`](SimdPolicy::parse)/`from_env`
-/// split: unknown values are a hard error surfaced as a typed
-/// `ConfigError` at config assembly, because a typo silently selecting a
-/// different tier would invalidate whatever experiment set it.
+/// Parsing ([`parse`](SimdPolicy::parse)) is split from reading the
+/// environment (`from_env`) so unknown values can be a hard error
+/// surfaced as a typed `ConfigError` at config assembly: a typo silently
+/// selecting a different tier would invalidate whatever experiment set
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
     /// Best tier the CPU supports (the default).

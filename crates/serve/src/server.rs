@@ -689,16 +689,15 @@ struct SessionChannels {
 fn circuits_and_plane(
     shared: &ServerShared,
     variant: ProtocolVariant,
-) -> (Arc<Vec<Circuit>>, Arc<ModelPlane>, String) {
+) -> (Arc<Vec<Circuit>>, Arc<ModelPlane>) {
+    let key = crate::proto::variant_code(variant);
     let circuits = {
         let mut cache = shared.circuits.lock().expect("circuit cache mutex poisoned");
-        Arc::clone(cache.entry(crate::proto::variant_code(variant)).or_insert_with(|| {
+        Arc::clone(cache.entry(key).or_insert_with(|| {
             Arc::new(build_session_circuits(&shared.sys, variant, &shared.fixed))
         }))
     };
-    let fp = primer_core::costmodel::layout::fingerprint(&shared.sys, variant);
-    let key = (crate::proto::variant_code(variant), fp.clone());
-    let (cell, evicted) = shared.planes.touch(&key);
+    let (cell, evicted) = shared.planes.touch(key);
     for plane in evicted {
         shared.registry.record_plane_evicted(plane.mask_bytes());
     }
@@ -713,7 +712,7 @@ fn circuits_and_plane(
     if !built {
         shared.registry.record_plane_reused();
     }
-    (circuits, Arc::clone(plane), fp)
+    (circuits, Arc::clone(plane))
 }
 
 /// Running totals a serving loop accumulates (and a resumed session
@@ -829,7 +828,7 @@ fn run_fresh(
 ) -> Result<SessionOutcome, ServeError> {
     let SessionChannels { online_t, offline_t, control } = channels;
     let obs = shared.registry.obs();
-    let (circuits, plane, fingerprint) = circuits_and_plane(shared, hello.variant);
+    let (circuits, plane) = circuits_and_plane(shared, hello.variant);
 
     // Per-session server randomness: a distinct stream per session id.
     let session_seed = shared.config.seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -882,7 +881,7 @@ fn run_fresh(
     };
     let ctx = SuspendCtx {
         garbled: matches!(hello.mode, GcMode::Garbled),
-        fingerprint,
+        fingerprint: primer_core::costmodel::layout::fingerprint(&shared.sys, hello.variant),
         pool: pool as u32,
     };
     let end = serve_queries(
@@ -987,7 +986,7 @@ fn resume_session(
     live.watch_channel("control", Arc::clone(control.meter()));
     shared.resumed.inc();
 
-    let (circuits, plane, _) = circuits_and_plane(shared, header.variant);
+    let (circuits, plane) = circuits_and_plane(shared, header.variant);
     let mut online = image
         .into_online(shared.sys.clone(), circuits, plane)
         .map_err(|e| ServeError::Suspend { session: token, detail: e.to_string() })?;

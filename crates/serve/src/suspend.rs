@@ -47,8 +47,9 @@ pub(crate) struct SuspendHeader {
     pub weight_seed: u64,
     pub model: TransformerConfig,
     /// Layout-plan fingerprint the session's plane was built under; a
-    /// `PRIMER_LAYOUT` change between suspend and resume is a config
-    /// mismatch, not a silently different wire schedule.
+    /// server rebuilt with a different layout selector between suspend
+    /// and resume is a config mismatch, not a silently different wire
+    /// schedule.
     pub fingerprint: String,
     pub variant: ProtocolVariant,
     /// The pool negotiated at the original handshake (production batch

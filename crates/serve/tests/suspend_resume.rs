@@ -7,9 +7,10 @@
 mod common;
 
 use common::{reference_engine, start_server_with};
-use primer_core::{GcMode, ProtocolVariant};
+use primer_core::costmodel::layout::fingerprint;
+use primer_core::{GcMode, ProtocolVariant, SystemConfig};
 use primer_nn::TransformerConfig;
-use primer_serve::ClientBuilder;
+use primer_serve::{ClientBuilder, ClientError, ProtoError};
 use std::path::PathBuf;
 
 /// A fresh per-test suspend directory under the OS temp dir.
@@ -156,5 +157,56 @@ fn garbled_sessions_refuse_to_suspend() {
     // The dropped handle fails its session, which concludes the budget.
     let stats = server.join().expect("server thread");
     assert_eq!(stats.sessions().len(), 0, "the failed session left no completed record");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An image whose recorded layout plan differs from the server's (one
+/// fingerprint character flipped, same length — what a server rebuilt
+/// with a different selector would see) is refused with that reason,
+/// and the server keeps serving: a separate session on it completes.
+#[test]
+fn resume_refuses_an_image_whose_layout_plan_changed() {
+    let model = TransformerConfig::test_tiny();
+    let variant = ProtocolVariant::Fpc;
+    let dir = suspend_dir("fingerprint");
+    // Two concluded sessions: the refused resume and the healthy one.
+    let (addr, server) = start_server_with(model.clone(), 2, {
+        let dir = dir.clone();
+        move |c| c.suspend_dir = Some(dir)
+    });
+    let mut handle = ClientBuilder::new(variant).open(addr, 2).expect("open");
+    handle.infer(&[3, 17, 0, 29]).expect("query 0");
+    let parked = handle.suspend().expect("suspend");
+
+    let image = dir.join(format!("session-{}.suspend", parked.token()));
+    let sys = SystemConfig::test_profile(&model).expect("profile");
+    let fp = fingerprint(&sys, variant);
+    let mut bytes = std::fs::read(&image).expect("read image");
+    let at = bytes
+        .windows(fp.len())
+        .position(|w| w == fp.as_bytes())
+        .expect("fingerprint in the image header");
+    bytes[at] = if bytes[at] == b'i' { b'o' } else { b'i' };
+    std::fs::write(&image, &bytes).expect("rewrite image");
+
+    let err = match parked.resume(addr) {
+        Ok(_) => panic!("a changed layout plan must refuse the resume"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(
+            err,
+            ClientError::Proto(ProtoError::Rejected(ref reason))
+                if reason == "layout plan changed since suspension"
+        ),
+        "{err}"
+    );
+
+    let queries = vec![vec![5usize, 5, 30, 1]];
+    let outcome = ClientBuilder::new(variant).run(addr, &queries).expect("healthy session");
+    let stats = server.join().expect("server thread");
+    let reference = reference_engine(&model, variant, GcMode::Simulated).serve(&queries);
+    assert_eq!(outcome.predictions[0].logits, reference[0].logits);
+    assert_eq!(stats.sessions().len(), 1, "only the healthy session completed");
     let _ = std::fs::remove_dir_all(&dir);
 }
