@@ -28,7 +28,7 @@ fn bench_serving(c: &mut Criterion) {
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_function(BenchmarkId::new("warm_batch", batch), |b| {
             b.iter(|| {
-                let reports = engine.serve(&queries);
+                let reports = engine.serve(&queries, batch);
                 assert!(reports.iter().all(|r| r.matches_plaintext_reference()));
                 reports
             })

@@ -40,7 +40,7 @@ fn main() {
         for &batch in batches {
             let queries = vec![tokens.clone(); batch];
             let start = Instant::now();
-            let reports = engine.serve(&queries);
+            let reports = engine.serve(&queries, batch);
             let amortized = start.elapsed().as_secs_f64() / batch as f64;
             assert!(reports.iter().all(|r| r.matches_plaintext_reference()));
             let phases = reports[0].phases();

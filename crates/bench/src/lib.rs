@@ -6,8 +6,6 @@
 //! scaled random-teacher tasks (the DESIGN.md §1 substitution); how the
 //! latency columns are extrapolated is DESIGN.md §4.
 
-pub mod benchjson;
-
 use primer_math::rng::seeded;
 use primer_math::{FixedSpec, Ring};
 use primer_nn::{

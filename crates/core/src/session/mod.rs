@@ -124,35 +124,23 @@ impl Engine {
 
     /// Runs one private inference: a session that serves a single query.
     pub fn run(&self, tokens: &[usize]) -> InferenceReport {
-        self.serve(std::slice::from_ref(&tokens.to_vec())).pop().expect("one report per query")
+        self.serve(std::slice::from_ref(&tokens.to_vec()), 1).pop().expect("one report per query")
     }
-
-    /// Default offline pool size for [`Engine::serve`]: bounds how many
-    /// precomputed bundles (per-query masks, HGS/FHGS shares, garbled
-    /// material) are held in memory at once. Larger batches refill in
-    /// lockstep chunks of this size instead of precomputing everything
-    /// up front.
-    pub const DEFAULT_POOL: usize = 16;
 
     /// Serves a batch of queries over one persistent client/server
-    /// session: Setup runs once, offline bundles are pooled ahead of
-    /// time (up to [`Engine::DEFAULT_POOL`] at a time — use
-    /// [`Engine::serve_pooled`] to choose the bound), and each query's
-    /// online phase consumes one bundle. Reports carry amortized setup
-    /// attribution ([`InferenceReport::amortized_cost`]).
-    pub fn serve(&self, queries: &[Vec<usize>]) -> Vec<InferenceReport> {
-        self.serve_pooled(queries, queries.len().clamp(1, Self::DEFAULT_POOL))
-    }
-
-    /// [`Engine::serve`] with an explicit offline pool size: both parties
-    /// precompute bundles in lockstep batches of `pool` (never more than
-    /// the queries remaining) and refill whenever the pool drains.
+    /// session: Setup runs once, and each query's online phase consumes
+    /// one offline bundle. Both parties precompute bundles in lockstep
+    /// batches of `pool` (never more than the queries remaining) and
+    /// refill whenever the pool drains, so `pool` bounds how many bundles
+    /// (per-query masks, HGS/FHGS shares, garbled material) are held in
+    /// memory at once. Reports carry amortized setup attribution
+    /// ([`InferenceReport::amortized_cost`]).
     ///
     /// # Panics
     ///
     /// Panics if `pool == 0` or a query's token count mismatches the
     /// model.
-    pub fn serve_pooled(&self, queries: &[Vec<usize>], pool: usize) -> Vec<InferenceReport> {
+    pub fn serve(&self, queries: &[Vec<usize>], pool: usize) -> Vec<InferenceReport> {
         assert!(pool > 0, "offline pool must hold at least one bundle");
         let cfg = &self.sys.model;
         for q in queries {

@@ -19,7 +19,6 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    percentile_of_sorted, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
-    RegistrySnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry, RegistrySnapshot,
 };
 pub use trace::{event, set_sink, validate_jsonl, Span};

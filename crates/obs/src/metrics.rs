@@ -213,21 +213,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// The **exact** `q`-quantile of an ascending-sorted sample set, by the
-/// nearest-rank method — what `bench-json` reports for its per-iteration
-/// latency vectors (small samples, where a log-bucket estimate would be
-/// needlessly coarse).
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
-pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of an empty sample set");
-    assert!((0.0..=1.0).contains(&q), "quantile outside [0, 1]");
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// One named metric handle (what a [`Registry`] stores).
 #[derive(Debug, Clone)]
 enum Metric {
@@ -440,17 +425,6 @@ mod tests {
     fn empty_histogram_snapshots_to_zeros() {
         let s = Histogram::new().snapshot();
         assert_eq!(s, HistogramSnapshot::default());
-    }
-
-    #[test]
-    fn exact_sample_percentiles() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile_of_sorted(&xs, 0.50), 50.0);
-        assert_eq!(percentile_of_sorted(&xs, 0.95), 95.0);
-        assert_eq!(percentile_of_sorted(&xs, 0.99), 99.0);
-        assert_eq!(percentile_of_sorted(&xs, 0.0), 1.0);
-        assert_eq!(percentile_of_sorted(&xs, 1.0), 100.0);
-        assert_eq!(percentile_of_sorted(&[7.0], 0.5), 7.0);
     }
 
     #[test]

@@ -73,6 +73,9 @@ pub enum ProtoError {
     },
     /// An enum code outside the known range.
     BadCode(u8),
+    /// A complete frame that is not well formed: bytes left over after
+    /// its last field, or a string that is not UTF-8.
+    Malformed(&'static str),
     /// The server rejected the hello; the payload explains why.
     Rejected(String),
     /// The server is at capacity and shed this session (admission
@@ -94,6 +97,7 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "protocol version mismatch (ours {PROTOCOL_VERSION}, theirs {theirs})")
             }
             ProtoError::BadCode(c) => write!(f, "unknown enum code {c}"),
+            ProtoError::Malformed(why) => write!(f, "malformed frame: {why}"),
             ProtoError::Rejected(msg) => write!(f, "server rejected session: {msg}"),
             ProtoError::Busy { active, cap } => {
                 write!(f, "server busy ({active}/{cap} workers), session shed — retry later")
@@ -112,8 +116,18 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
+    /// Decodes one whole frame with `f`. Input that `f` leaves unread is
+    /// malformed, not ignored.
+    pub(crate) fn decode<T>(
+        bytes: &'a [u8],
+        f: impl FnOnce(&mut Self) -> Result<T, ProtoError>,
+    ) -> Result<T, ProtoError> {
+        let mut c = Self { bytes, pos: 0 };
+        let value = f(&mut c)?;
+        if c.pos != c.bytes.len() {
+            return Err(ProtoError::Malformed("trailing bytes"));
+        }
+        Ok(value)
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -140,7 +154,39 @@ impl<'a> Cursor<'a> {
     pub fn string(&mut self) -> Result<String, ProtoError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Truncated)
+        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("string is not UTF-8"))
+    }
+
+    /// Checks a `[magic] [version u32]` prelude written by [`put_prelude`].
+    pub(crate) fn prelude(&mut self, magic: [u8; 4], version: u32) -> Result<(), ProtoError> {
+        if self.take(4)? != magic {
+            return Err(ProtoError::BadMagic);
+        }
+        match self.u32()? {
+            v if v == version => Ok(()),
+            theirs => Err(ProtoError::VersionMismatch { theirs }),
+        }
+    }
+
+    /// Reads what [`put_model`] writes.
+    pub(crate) fn model(&mut self) -> Result<TransformerConfig, ProtoError> {
+        let name = self.string()?;
+        let mut dims = [0usize; 7];
+        for d in &mut dims {
+            *d = self.u32()? as usize;
+        }
+        let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
+        Ok(TransformerConfig { name, vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes })
+    }
+
+    /// Reads what [`put_traffic`] writes.
+    pub(crate) fn traffic(&mut self) -> Result<TrafficSnapshot, ProtoError> {
+        Ok(TrafficSnapshot {
+            c2s_bytes: self.u64()?,
+            s2c_bytes: self.u64()?,
+            c2s_messages: self.u64()?,
+            s2c_messages: self.u64()?,
+        })
     }
 }
 
@@ -155,6 +201,27 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// The `[magic] [version u32]` prelude of a versioned frame or file.
+pub(crate) fn put_prelude(out: &mut Vec<u8>, magic: [u8; 4], version: u32) {
+    out.extend_from_slice(&magic);
+    put_u32(out, version);
+}
+
+/// A model as its name and seven dimensions.
+pub(crate) fn put_model(out: &mut Vec<u8>, m: &TransformerConfig) {
+    put_string(out, &m.name);
+    for dim in [m.vocab, m.n_blocks, m.d_model, m.n_heads, m.n_tokens, m.d_ff, m.n_classes] {
+        put_u32(out, dim as u32);
+    }
+}
+
+/// A traffic snapshot as its four counters.
+pub(crate) fn put_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
+    for v in [t.c2s_bytes, t.s2c_bytes, t.c2s_messages, t.s2c_messages] {
+        put_u64(out, v);
+    }
 }
 
 // ---- enum codes ----------------------------------------------------------
@@ -244,8 +311,7 @@ impl ClientHello {
     /// Encodes the hello frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, PROTOCOL_VERSION);
+        put_prelude(&mut out, MAGIC, PROTOCOL_VERSION);
         out.push(variant_code(self.variant));
         out.push(mode_code(self.mode));
         put_u32(&mut out, self.queries);
@@ -266,26 +332,19 @@ impl ClientHello {
     ///
     /// [`ProtoError`] on truncation, bad magic, version or code.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(c.take(4)?);
-        if magic != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != PROTOCOL_VERSION {
-            return Err(ProtoError::VersionMismatch { theirs: version });
-        }
-        let variant = variant_from_code(c.u8()?)?;
-        let mode = mode_from_code(c.u8()?)?;
-        let queries = c.u32()?;
-        let pool = c.u32()?;
-        let resume = match c.u8()? {
-            0 => None,
-            1 => Some(c.u64()?),
-            other => return Err(ProtoError::BadCode(other)),
-        };
-        Ok(Self { variant, mode, queries, pool, resume })
+        Cursor::decode(bytes, |c| {
+            c.prelude(MAGIC, PROTOCOL_VERSION)?;
+            let variant = variant_from_code(c.u8()?)?;
+            let mode = mode_from_code(c.u8()?)?;
+            let queries = c.u32()?;
+            let pool = c.u32()?;
+            let resume = match c.u8()? {
+                0 => None,
+                1 => Some(c.u64()?),
+                other => return Err(ProtoError::BadCode(other)),
+            };
+            Ok(Self { variant, mode, queries, pool, resume })
+        })
     }
 }
 
@@ -321,11 +380,7 @@ impl ServerWelcome {
         out.push(profile_code(self.profile));
         put_u64(&mut out, self.weight_seed);
         put_u32(&mut out, self.pool);
-        let m = &self.model;
-        put_string(&mut out, &m.name);
-        for dim in [m.vocab, m.n_blocks, m.d_model, m.n_heads, m.n_tokens, m.d_ff, m.n_classes] {
-            put_u32(&mut out, dim as u32);
-        }
+        put_model(&mut out, &self.model);
         out
     }
 
@@ -353,39 +408,22 @@ impl ServerWelcome {
     /// [`ProtoError::Busy`] when it shed the session, other
     /// [`ProtoError`]s on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        match c.u8()? {
-            STATUS_OK => {}
-            STATUS_REJECT => return Err(ProtoError::Rejected(c.string()?)),
-            STATUS_BUSY => return Err(ProtoError::Busy { active: c.u64()?, cap: c.u64()? }),
-            other => return Err(ProtoError::BadCode(other)),
-        }
-        let session_id = c.u64()?;
-        let profile = profile_from_code(c.u8()?)?;
-        let weight_seed = c.u64()?;
-        let pool = c.u32()?;
-        let name = c.string()?;
-        let mut dims = [0usize; 7];
-        for d in &mut dims {
-            *d = c.u32()? as usize;
-        }
-        let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
-        Ok(Self {
-            session_id,
-            profile,
-            weight_seed,
-            pool,
-            model: TransformerConfig {
-                name,
-                vocab,
-                n_blocks,
-                d_model,
-                n_heads,
-                n_tokens,
-                d_ff,
-                n_classes,
-            },
-        })
+        // The inner result is the server's answer; the outer one is
+        // whether the frame carrying it was well formed.
+        Cursor::decode(bytes, |c| {
+            Ok(match c.u8()? {
+                STATUS_OK => Ok(Self {
+                    session_id: c.u64()?,
+                    profile: profile_from_code(c.u8()?)?,
+                    weight_seed: c.u64()?,
+                    pool: c.u32()?,
+                    model: c.model()?,
+                }),
+                STATUS_REJECT => Err(ProtoError::Rejected(c.string()?)),
+                STATUS_BUSY => Err(ProtoError::Busy { active: c.u64()?, cap: c.u64()? }),
+                other => return Err(ProtoError::BadCode(other)),
+            })
+        })?
     }
 }
 
@@ -441,14 +479,7 @@ impl SessionSummary {
         for p in [&self.setup, &self.offline, &self.online] {
             put_phase(&mut out, p);
         }
-        for v in [
-            self.traffic.c2s_bytes,
-            self.traffic.s2c_bytes,
-            self.traffic.c2s_messages,
-            self.traffic.s2c_messages,
-        ] {
-            put_u64(&mut out, v);
-        }
+        put_traffic(&mut out, &self.traffic);
         out
     }
 
@@ -456,22 +487,18 @@ impl SessionSummary {
     ///
     /// # Errors
     ///
-    /// [`ProtoError::Truncated`] on malformed frames.
+    /// [`ProtoError`] on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        Ok(Self {
-            session_id: c.u64()?,
-            queries: c.u64()?,
-            threads: c.u64()?,
-            setup: get_phase(&mut c)?,
-            offline: get_phase(&mut c)?,
-            online: get_phase(&mut c)?,
-            traffic: TrafficSnapshot {
-                c2s_bytes: c.u64()?,
-                s2c_bytes: c.u64()?,
-                c2s_messages: c.u64()?,
-                s2c_messages: c.u64()?,
-            },
+        Cursor::decode(bytes, |c| {
+            Ok(Self {
+                session_id: c.u64()?,
+                queries: c.u64()?,
+                threads: c.u64()?,
+                setup: get_phase(c)?,
+                offline: get_phase(c)?,
+                online: get_phase(c)?,
+                traffic: c.traffic()?,
+            })
         })
     }
 }
@@ -495,8 +522,7 @@ impl SuspendRequest {
     /// Encodes the suspend-request frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&SUSPEND_MAGIC);
-        put_u32(&mut out, PROTOCOL_VERSION);
+        put_prelude(&mut out, SUSPEND_MAGIC, PROTOCOL_VERSION);
         out
     }
 
@@ -506,17 +532,7 @@ impl SuspendRequest {
     ///
     /// [`ProtoError`] on truncation, bad magic or version.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(c.take(4)?);
-        if magic != SUSPEND_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != PROTOCOL_VERSION {
-            return Err(ProtoError::VersionMismatch { theirs: version });
-        }
-        Ok(Self)
+        Cursor::decode(bytes, |c| c.prelude(SUSPEND_MAGIC, PROTOCOL_VERSION)).map(|()| Self)
     }
 }
 
@@ -577,13 +593,12 @@ impl SuspendReply {
     ///
     /// [`ProtoError`] on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        match c.u8()? {
+        Cursor::decode(bytes, |c| match c.u8()? {
             STATUS_OK => Ok(SuspendReply::Ack { token: c.u64()?, remaining: c.u64()? }),
             STATUS_REJECT => Ok(SuspendReply::Refused(c.string()?)),
             SUSPEND_PARKED => Ok(SuspendReply::Parked),
             other => Err(ProtoError::BadCode(other)),
-        }
+        })
     }
 }
 
@@ -620,8 +635,7 @@ impl StatsRequest {
     /// Encodes the poll frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&STATS_MAGIC);
-        put_u32(&mut out, self.version);
+        put_prelude(&mut out, STATS_MAGIC, self.version);
         out
     }
 
@@ -631,17 +645,7 @@ impl StatsRequest {
     ///
     /// [`ProtoError`] on truncation, bad magic or any other version.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(c.take(4)?);
-        if magic != STATS_MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != PROTOCOL_VERSION {
-            return Err(ProtoError::VersionMismatch { theirs: version });
-        }
-        Ok(Self { version })
+        Cursor::decode(bytes, |c| c.prelude(STATS_MAGIC, PROTOCOL_VERSION)).map(|()| Self::new())
     }
 }
 
@@ -733,8 +737,7 @@ pub struct SessionStat {
 
 /// One phase-latency histogram summary (nanoseconds), carried per phase
 /// name in a [`StatsSnapshot`]. Percentiles are the registry
-/// histogram's log-bucket interpolations — the live analogue of
-/// `bench-json`'s exact sample percentiles.
+/// histogram's log-bucket interpolations, not exact sample percentiles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStat {
     /// Recorded samples.
@@ -973,9 +976,7 @@ impl StatsSnapshot {
         put_u32(&mut out, self.channels.len() as u32);
         for (name, t) in &self.channels {
             put_string(&mut out, name);
-            for v in [t.c2s_bytes, t.s2c_bytes, t.c2s_messages, t.s2c_messages] {
-                put_u64(&mut out, v);
-            }
+            put_traffic(&mut out, t);
         }
         for v in [self.shed_total, self.suspended, self.resumed_total, self.plane_evictions] {
             put_u64(&mut out, v);
@@ -998,12 +999,16 @@ impl StatsSnapshot {
     /// [`ProtoError::Rejected`] when the server declined the poll,
     /// other [`ProtoError`]s on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(bytes);
-        match c.u8()? {
-            STATUS_OK => {}
-            STATUS_REJECT => return Err(ProtoError::Rejected(c.string()?)),
-            other => return Err(ProtoError::BadCode(other)),
-        }
+        Cursor::decode(bytes, |c| {
+            Ok(match c.u8()? {
+                STATUS_OK => Ok(Self::read(c)?),
+                STATUS_REJECT => Err(ProtoError::Rejected(c.string()?)),
+                other => return Err(ProtoError::BadCode(other)),
+            })
+        })?
+    }
+
+    fn read(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
         let workers_active = c.u64()?;
         let workers_cap = c.u64()?;
         let backlog = c.u64()?;
@@ -1049,16 +1054,7 @@ impl StatsSnapshot {
         let n = c.u32()? as usize;
         let mut channels = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let name = c.string()?;
-            channels.push((
-                name,
-                TrafficSnapshot {
-                    c2s_bytes: c.u64()?,
-                    s2c_bytes: c.u64()?,
-                    c2s_messages: c.u64()?,
-                    s2c_messages: c.u64()?,
-                },
-            ));
+            channels.push((c.string()?, c.traffic()?));
         }
         let (shed_total, suspended, resumed_total, plane_evictions) =
             (c.u64()?, c.u64()?, c.u64()?, c.u64()?);
@@ -1154,7 +1150,7 @@ impl StatsSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1378,5 +1374,145 @@ mod tests {
             },
         };
         assert_eq!(SessionSummary::decode(&s.encode()).expect("decode"), s);
+    }
+
+    pub(crate) fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    pub(crate) fn golden_model() -> TransformerConfig {
+        TransformerConfig::new("golden", 32, 1, 8, 2, 4, 3)
+    }
+
+    fn golden_hello() -> ClientHello {
+        ClientHello {
+            variant: ProtocolVariant::Fpc,
+            mode: GcMode::Garbled,
+            queries: 12,
+            pool: 3,
+            resume: Some(41),
+        }
+    }
+
+    fn golden_welcome() -> ServerWelcome {
+        ServerWelcome {
+            session_id: 7,
+            profile: Profile::Paper,
+            weight_seed: 1234,
+            pool: 3,
+            model: golden_model(),
+        }
+    }
+
+    fn golden_summary() -> SessionSummary {
+        SessionSummary {
+            session_id: 3,
+            queries: 5,
+            threads: 4,
+            setup: PhaseSummary { compute_ns: 10, bytes: 20, messages: 1 },
+            offline: PhaseSummary { compute_ns: 30, bytes: 40, messages: 6 },
+            online: PhaseSummary { compute_ns: 50, bytes: 60, messages: 9 },
+            traffic: TrafficSnapshot {
+                c2s_bytes: 100,
+                s2c_bytes: 200,
+                c2s_messages: 7,
+                s2c_messages: 8,
+            },
+        }
+    }
+
+    /// The frames' bytes, pinned: a codec refactor must not move one.
+    #[test]
+    fn frames_match_golden_bytes() {
+        assert_eq!(
+            hex(&golden_hello().encode()),
+            "50524d520400000003010c00000003000000012900000000000000"
+        );
+        assert_eq!(
+            hex(&golden_welcome().encode()),
+            concat!(
+                "00070000000000000001d2040000000000000300000006000000676f6c64656e2000",
+                "0000010000000800000002000000040000002000000003000000",
+            )
+        );
+        assert_eq!(
+            hex(&golden_summary().encode()),
+            concat!(
+                "03000000000000000500000000000000040000000000000",
+                "00a00000000000000140000000000000001000000000000001e0000000000000028",
+                "00000000000000060000000000000032000000000000003c00000000000000090000",
+                "00000000006400000000000000c8000000000000000700000000000000080000000000",
+                "0000",
+            )
+        );
+        assert_eq!(
+            hex(&sample_snapshot().encode()),
+            concat!(
+                "0002000000000000000400000000000000010000000000000001000000000000000300",
+                "0000000000000000100000000000110000000000000002000000000000000000000003",
+                "0305000000000000000500000000000000000000000000000002000000000000000100",
+                "0000000000000106020000000000000008000000000000000100000000000000020000",
+                "0000000000020000000c00000068652e726f746174696f6e7360000000000000000600",
+                "000068652e6e7474681000000000000001000000060000006f6e6c696e650700000000",
+                "000000bc020000000000003200000000000000c8000000000000005a00000000000000",
+                "b400000000000000c70000000000000001000000060000006f6e6c696e650a00000000",
+                "0000001400000000000000010000000000000002000000000000000500000000000000",
+                "010000000000000002000000000000000200000000000000",
+            )
+        );
+        assert_eq!(hex(&SuspendRequest.encode()), "5052535504000000");
+    }
+
+    /// Every frame, in every form, refuses one byte more than it reads
+    /// with a typed error rather than decoding the prefix.
+    #[test]
+    fn decoders_reject_trailing_bytes() {
+        fn padded(mut frame: Vec<u8>) -> Vec<u8> {
+            frame.push(0);
+            frame
+        }
+        let trailing = Some(ProtoError::Malformed("trailing bytes"));
+        assert_eq!(ClientHello::decode(&padded(golden_hello().encode())).err(), trailing);
+        let fresh = ClientHello { resume: None, ..golden_hello() };
+        assert_eq!(ClientHello::decode(&padded(fresh.encode())).err(), trailing);
+        assert_eq!(ServerWelcome::decode(&padded(golden_welcome().encode())).err(), trailing);
+        assert_eq!(
+            ServerWelcome::decode(&padded(ServerWelcome::encode_reject("no"))).err(),
+            trailing
+        );
+        assert_eq!(
+            ServerWelcome::decode(&padded(ServerWelcome::encode_busy(1, 1))).err(),
+            trailing
+        );
+        assert_eq!(SessionSummary::decode(&padded(golden_summary().encode())).err(), trailing);
+        assert_eq!(SuspendRequest::decode(&padded(SuspendRequest.encode())).err(), trailing);
+        for reply in [
+            SuspendReply::Ack { token: 9, remaining: 3 },
+            SuspendReply::Refused("no".into()),
+            SuspendReply::Parked,
+        ] {
+            assert_eq!(SuspendReply::decode(&padded(reply.encode())).err(), trailing);
+        }
+        assert_eq!(StatsRequest::decode(&padded(StatsRequest::new().encode())).err(), trailing);
+        assert_eq!(StatsSnapshot::decode(&padded(sample_snapshot().encode())).err(), trailing);
+        assert_eq!(
+            StatsSnapshot::decode(&padded(StatsSnapshot::encode_reject("no"))).err(),
+            trailing
+        );
+    }
+
+    #[test]
+    fn invalid_utf8_is_malformed_not_truncated() {
+        let bad_utf8 = Some(ProtoError::Malformed("string is not UTF-8"));
+        let mut reject = ServerWelcome::encode_reject("ok");
+        reject[5] = 0xff;
+        assert_eq!(ServerWelcome::decode(&reject).err(), bad_utf8);
+        let mut welcome = golden_welcome().encode();
+        // status, session id, profile, weight seed, pool, name length.
+        welcome[1 + 8 + 1 + 8 + 4 + 4] = 0xc3;
+        assert_eq!(ServerWelcome::decode(&welcome).err(), bad_utf8);
+        let mut refused = SuspendReply::Refused("ok".into()).encode();
+        refused[5] = 0xff;
+        assert_eq!(SuspendReply::decode(&refused).err(), bad_utf8);
     }
 }

@@ -27,7 +27,10 @@
 //! resume that fails after the delete is a failed session, not a
 //! retryable one.
 
-use crate::proto::{profile_code, profile_from_code, put_string, put_u32, put_u64, Cursor, Profile, ProtoError};
+use crate::proto::{
+    profile_code, profile_from_code, put_model, put_prelude, put_string, put_traffic, put_u32,
+    put_u64, variant_code, variant_from_code, Cursor, Profile, ProtoError,
+};
 use primer_core::{PhaseCost, ProtocolVariant};
 use primer_net::TrafficSnapshot;
 use primer_nn::TransformerConfig;
@@ -84,31 +87,19 @@ fn get_phase_cost(c: &mut Cursor<'_>) -> Result<PhaseCost, ProtoError> {
 /// Serializes a suspend file.
 pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(image.len() + 256);
-    out.extend_from_slice(&FILE_MAGIC);
-    put_u32(&mut out, FILE_VERSION);
+    put_prelude(&mut out, FILE_MAGIC, FILE_VERSION);
     put_u64(&mut out, header.session_id);
     out.push(profile_code(header.profile));
     put_u64(&mut out, header.weight_seed);
-    let m = &header.model;
-    put_string(&mut out, &m.name);
-    for dim in [m.vocab, m.n_blocks, m.d_model, m.n_heads, m.n_tokens, m.d_ff, m.n_classes] {
-        put_u32(&mut out, dim as u32);
-    }
+    put_model(&mut out, &header.model);
     put_string(&mut out, &header.fingerprint);
-    out.push(crate::proto::variant_code(header.variant));
+    out.push(variant_code(header.variant));
     put_u32(&mut out, header.pool);
     put_u64(&mut out, header.booked);
     put_u64(&mut out, header.served);
     put_phase_cost(&mut out, &header.offline);
     put_phase_cost(&mut out, &header.online);
-    for v in [
-        header.traffic.c2s_bytes,
-        header.traffic.s2c_bytes,
-        header.traffic.c2s_messages,
-        header.traffic.s2c_messages,
-    ] {
-        put_u64(&mut out, v);
-    }
+    put_traffic(&mut out, &header.traffic);
     put_u32(&mut out, image.len() as u32);
     out.extend_from_slice(image);
     out
@@ -118,61 +109,28 @@ pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`ProtoError`] on bad magic, an unknown envelope version, or
-/// truncation.
+/// [`ProtoError`] on bad magic, an unknown envelope version, truncation,
+/// or bytes after the image.
 pub(crate) fn decode_file(bytes: &[u8]) -> Result<(SuspendHeader, Vec<u8>), ProtoError> {
-    let mut c = Cursor::new(bytes);
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(c.take(4)?);
-    if magic != FILE_MAGIC {
-        return Err(ProtoError::BadMagic);
-    }
-    let version = c.u32()?;
-    if version != FILE_VERSION {
-        return Err(ProtoError::VersionMismatch { theirs: version });
-    }
-    let session_id = c.u64()?;
-    let profile = profile_from_code(c.u8()?)?;
-    let weight_seed = c.u64()?;
-    let name = c.string()?;
-    let mut dims = [0usize; 7];
-    for d in &mut dims {
-        *d = c.u32()? as usize;
-    }
-    let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
-    let model = TransformerConfig { name, vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes };
-    let fingerprint = c.string()?;
-    let variant = crate::proto::variant_from_code(c.u8()?)?;
-    let pool = c.u32()?;
-    let booked = c.u64()?;
-    let served = c.u64()?;
-    let offline = get_phase_cost(&mut c)?;
-    let online = get_phase_cost(&mut c)?;
-    let traffic = TrafficSnapshot {
-        c2s_bytes: c.u64()?,
-        s2c_bytes: c.u64()?,
-        c2s_messages: c.u64()?,
-        s2c_messages: c.u64()?,
-    };
-    let image_len = c.u32()? as usize;
-    let image = c.take(image_len)?.to_vec();
-    Ok((
-        SuspendHeader {
-            session_id,
-            profile,
-            weight_seed,
-            model,
-            fingerprint,
-            variant,
-            pool,
-            booked,
-            served,
-            offline,
-            online,
-            traffic,
-        },
-        image,
-    ))
+    Cursor::decode(bytes, |c| {
+        c.prelude(FILE_MAGIC, FILE_VERSION)?;
+        let header = SuspendHeader {
+            session_id: c.u64()?,
+            profile: profile_from_code(c.u8()?)?,
+            weight_seed: c.u64()?,
+            model: c.model()?,
+            fingerprint: c.string()?,
+            variant: variant_from_code(c.u8()?)?,
+            pool: c.u32()?,
+            booked: c.u64()?,
+            served: c.u64()?,
+            offline: get_phase_cost(c)?,
+            online: get_phase_cost(c)?,
+            traffic: c.traffic()?,
+        };
+        let image_len = c.u32()? as usize;
+        Ok((header, c.take(image_len)?.to_vec()))
+    })
 }
 
 /// The file name a session parks under.
@@ -230,6 +188,38 @@ mod tests {
         let mut bytes2 = encode_file(&header(), b"img");
         bytes2[4] = 99;
         assert!(matches!(decode_file(&bytes2), Err(ProtoError::VersionMismatch { theirs: 99 })));
+    }
+
+    /// The envelope's bytes, pinned: a codec refactor must not move one.
+    #[test]
+    fn file_matches_golden_bytes() {
+        let h = SuspendHeader {
+            model: crate::proto::tests::golden_model(),
+            fingerprint: "oooo/dd".into(),
+            ..header()
+        };
+        assert_eq!(
+            crate::proto::tests::hex(&encode_file(&h, b"img")),
+            concat!(
+                "50525350010000002a0000000000000000070000000000000006000000676f6c64656e",
+                "2000000001000000080000000200000004000000200000000300000007000000",
+                "6f6f6f6f2f64640302000000040000000000000002000000000000000b000000000000",
+                "00160000000000000003000000000000002c0000000000000037000000000000000600",
+                "0000000000000100000000000000020000000000000003000000000000000400000000",
+                "00000003000000696d67",
+            )
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_and_bad_utf8_are_malformed() {
+        let mut bytes = encode_file(&header(), b"img");
+        bytes.push(0);
+        assert_eq!(decode_file(&bytes), Err(ProtoError::Malformed("trailing bytes")));
+        let mut bytes = encode_file(&header(), b"img");
+        // magic, version, session id, profile, weight seed, name length.
+        bytes[4 + 4 + 8 + 1 + 8 + 4] = 0xff;
+        assert_eq!(decode_file(&bytes), Err(ProtoError::Malformed("string is not UTF-8")));
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn churning_clients_queue_through_bounded_workers() {
         })
         .collect();
     let reference = reference_engine(&model, ProtocolVariant::Fpc, GcMode::Simulated)
-        .serve(std::slice::from_ref(&tokens));
+        .serve(std::slice::from_ref(&tokens), 1);
     for (i, c) in clients.into_iter().enumerate() {
         let out = c.join().expect("client thread").unwrap_or_else(|e| panic!("client {i}: {e}"));
         assert_eq!(out.predictions[0].logits, reference[0].logits, "client {i} logits");
@@ -81,7 +81,7 @@ fn full_house_sheds_excess_hellos_with_typed_busy() {
     });
 
     let reference = reference_engine(&model, ProtocolVariant::Fpc, GcMode::Simulated)
-        .serve(std::slice::from_ref(&tokens));
+        .serve(std::slice::from_ref(&tokens), 1);
     assert_eq!(out_a.predictions[0].logits, reference[0].logits);
     assert_eq!(out_c.predictions[0].logits, reference[0].logits);
     let stats = server.join().expect("server thread");

@@ -56,7 +56,7 @@ fn four_concurrent_mixed_variant_clients_match_sequential_engine() {
             continue;
         }
         let engine = reference_engine(&model, *variant, GcMode::Simulated);
-        let reports = engine.serve(queries);
+        let reports = engine.serve(queries, queries.len());
         for (i, r) in reports.iter().enumerate() {
             assert!(r.matches_plaintext_reference(), "{}: reference {i}", variant.name());
         }

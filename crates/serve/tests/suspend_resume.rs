@@ -53,7 +53,8 @@ fn suspend_resume_same_process_is_bit_identical_for_all_variants() {
 
         // The suspension is invisible in the results: bit-identical to
         // the uninterrupted engine, full cumulative accounting.
-        let reference = reference_engine(&model, variant, GcMode::Simulated).serve(&queries);
+        let reference =
+            reference_engine(&model, variant, GcMode::Simulated).serve(&queries, queries.len());
         for (i, want) in reference.iter().enumerate() {
             assert!(want.matches_plaintext_reference(), "{}: reference {i}", variant.name());
             assert_eq!(
@@ -115,8 +116,8 @@ fn suspend_survives_server_restart() {
     let outcome = handle.finish().expect("finish");
     let stats_b = server_b.join().expect("server B thread");
 
-    let reference =
-        reference_engine(&model, ProtocolVariant::Fpc, GcMode::Simulated).serve(&queries);
+    let reference = reference_engine(&model, ProtocolVariant::Fpc, GcMode::Simulated)
+        .serve(&queries, queries.len());
     for (i, want) in reference.iter().enumerate() {
         assert_eq!(
             outcome.predictions[i].logits,
@@ -205,7 +206,8 @@ fn resume_refuses_an_image_whose_layout_plan_changed() {
     let queries = vec![vec![5usize, 5, 30, 1]];
     let outcome = ClientBuilder::new(variant).run(addr, &queries).expect("healthy session");
     let stats = server.join().expect("server thread");
-    let reference = reference_engine(&model, variant, GcMode::Simulated).serve(&queries);
+    let reference =
+        reference_engine(&model, variant, GcMode::Simulated).serve(&queries, queries.len());
     assert_eq!(outcome.predictions[0].logits, reference[0].logits);
     assert_eq!(stats.sessions().len(), 1, "only the healthy session completed");
     let _ = std::fs::remove_dir_all(&dir);

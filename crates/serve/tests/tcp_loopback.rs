@@ -74,8 +74,8 @@ fn loopback_serving_with_real_garbling_matches_engine() {
         .expect("client run");
     server.join().expect("server thread");
 
-    let reference =
-        reference_engine(&model, ProtocolVariant::Fpc, GcMode::Garbled).serve(&queries);
+    let reference = reference_engine(&model, ProtocolVariant::Fpc, GcMode::Garbled)
+        .serve(&queries, queries.len());
     for (i, (got, want)) in outcome.predictions.iter().zip(&reference).enumerate() {
         assert!(want.matches_plaintext_reference(), "reference query {i}");
         assert_eq!(got.logits, want.logits, "query {i} diverged over TCP");
@@ -99,7 +99,7 @@ fn multi_query_session_pipelines_and_stays_exact() {
     server.join().expect("server thread");
 
     let engine = reference_engine(&model, ProtocolVariant::Fp, GcMode::Simulated);
-    let reference = engine.serve(&queries);
+    let reference = engine.serve(&queries, queries.len());
     for (i, (got, want)) in outcome.predictions.iter().zip(&reference).enumerate() {
         assert!(want.matches_plaintext_reference(), "reference query {i}");
         assert_eq!(got.logits, want.logits, "query {i} diverged over TCP");

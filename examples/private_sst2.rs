@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::new(sys, ProtocolVariant::Fp, fixed.clone(), GcMode::Simulated, 13);
     let queries: Vec<Vec<usize>> =
         dataset.examples.iter().take(3).map(|ex| ex.tokens.clone()).collect();
-    for (ex, private) in dataset.examples.iter().zip(engine.serve(&queries)) {
+    for (ex, private) in dataset.examples.iter().zip(engine.serve(&queries, queries.len())) {
         let plain = fixed.classify(&ex.tokens);
         println!(
             "tokens {:?} → private class {} (plaintext fixed-point: {}, exact match: {})",

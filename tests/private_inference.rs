@@ -40,7 +40,7 @@ fn private_predictions_depend_on_input() {
     let sys = SystemConfig::test_profile(&cfg).expect("profile");
     let fixed = fixed_model(&cfg, &sys, 602);
     let engine = Engine::new(sys, ProtocolVariant::Fp, fixed, GcMode::Simulated, 603);
-    let reports = engine.serve(&[vec![0, 1, 2, 3], vec![31, 30, 29, 28]]);
+    let reports = engine.serve(&[vec![0, 1, 2, 3], vec![31, 30, 29, 28]], 2);
     let (a, b) = (&reports[0], &reports[1]);
     assert!(a.matches_plaintext_reference());
     assert!(b.matches_plaintext_reference());

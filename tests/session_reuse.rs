@@ -25,7 +25,7 @@ fn warm_sessions_are_bit_identical_to_fresh_runs() {
     let tokens = vec![4usize, 9, 23, 7];
     for variant in ProtocolVariant::all() {
         let engine = engine_for(variant, 820);
-        let reports = engine.serve_pooled(&vec![tokens.clone(); 3], 2);
+        let reports = engine.serve(&vec![tokens.clone(); 3], 2);
         assert_eq!(reports.len(), 3);
         let fresh = engine.run(&tokens);
         assert!(fresh.matches_plaintext_reference(), "{}: fresh run", variant.name());
@@ -59,7 +59,7 @@ fn warm_sessions_are_bit_identical_to_fresh_runs() {
 fn warm_batches_amortize_setup() {
     let engine = engine_for(ProtocolVariant::Fp, 830);
     let queries = vec![vec![1usize, 2, 3, 4], vec![31, 30, 29, 28], vec![7, 7, 7, 7]];
-    let reports = engine.serve(&queries);
+    let reports = engine.serve(&queries, queries.len());
     let setup = reports[0].steps.setup();
     assert!(setup.bytes > 0, "setup carries the Galois-key flight");
     for r in &reports {

@@ -37,7 +37,7 @@ fn engine_for(variant: ProtocolVariant, tier: SimdLevel) -> Engine {
 /// tail of the refill schedule run at each SIMD tier.
 fn serve_logits(variant: ProtocolVariant, tier: SimdLevel) -> Vec<Vec<i64>> {
     let queries = vec![vec![3, 17, 0, 29], vec![5, 5, 30, 1], vec![9, 2, 31, 12]];
-    let reports = engine_for(variant, tier).serve_pooled(&queries, 2);
+    let reports = engine_for(variant, tier).serve(&queries, 2);
     for (i, report) in reports.iter().enumerate() {
         assert!(
             report.matches_plaintext_reference(),

@@ -33,7 +33,7 @@ fn engine_for(variant: ProtocolVariant) -> Engine {
 fn serve_logits(variant: ProtocolVariant, threads: usize) -> Vec<Vec<i64>> {
     std::env::set_var("PRIMER_THREADS", threads.to_string());
     let queries = vec![vec![3, 17, 0, 29], vec![5, 5, 30, 1], vec![9, 2, 31, 12]];
-    let reports = engine_for(variant).serve_pooled(&queries, 2);
+    let reports = engine_for(variant).serve(&queries, 2);
     for (i, report) in reports.iter().enumerate() {
         assert!(
             report.matches_plaintext_reference(),
