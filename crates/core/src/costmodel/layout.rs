@@ -26,9 +26,7 @@
 //! budget cannot carry.
 
 use crate::fhgs::{zr_layouts, FhgsDims, FhgsMode};
-use crate::packing::{
-    matmul_counts_mode, tf_chain_terms_max, tf_input_steps, Packing, RotationMode,
-};
+use crate::packing::{chain_steps, matmul_counts_mode, tf_chain_terms_max, Packing, RotationMode};
 use crate::session::ProtocolVariant;
 use crate::system::SystemConfig;
 use primer_he::{HeParams, NoiseModel};
@@ -119,32 +117,6 @@ pub fn fhgs_mode(params: &HeParams, packing: Packing, dims: FhgsDims) -> FhgsMod
     }
 }
 
-/// The rotation steps one chain over an `rows × in_cols` input issues
-/// in `mode` (`out_cols` matters only to input mode's hoisted steps).
-fn chain_steps(
-    params: &HeParams,
-    packing: Packing,
-    mode: RotationMode,
-    rows: usize,
-    in_cols: usize,
-    out_cols: usize,
-) -> Vec<usize> {
-    let simd = params.row_size();
-    match packing {
-        Packing::TokensFirst => match mode {
-            RotationMode::Output => vec![rows.next_power_of_two()],
-            RotationMode::Input => tf_input_steps(rows, in_cols, out_cols, simd),
-        },
-        Packing::FeatureBased => {
-            if in_cols.next_power_of_two().min(simd) == simd {
-                vec![1]
-            } else {
-                vec![1, simd - 1]
-            }
-        }
-    }
-}
-
 /// Every weight-chain shape `(rows, in_cols, out_cols)` of a variant, in
 /// the canonical plane order (embed, combined, per-block QKV/WO/W1/W2,
 /// classifier) — mirrors `ModelPlane::prepare`.
@@ -183,11 +155,11 @@ fn fhgs_shapes(sys: &SystemConfig) -> [FhgsDims; 2] {
 pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> {
     let params = sys.he.params();
     let packing = variant.packing();
-    let half = params.row_size();
+    let simd = params.row_size();
     let mut steps: Vec<usize> = Vec::new();
     let mut add = |list: Vec<usize>| {
         for s in list {
-            let s = s % half;
+            let s = s % simd;
             if s != 0 && !steps.contains(&s) {
                 steps.push(s);
             }
@@ -195,7 +167,7 @@ pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> 
     };
     for (rows, in_cols, out_cols) in chain_shapes(sys, variant) {
         let mode = chain_mode(params, packing, rows, in_cols, out_cols);
-        add(chain_steps(params, packing, mode, rows, in_cols, out_cols));
+        add(chain_steps(packing, rows, in_cols, out_cols, simd, mode));
     }
     if variant.has_offline_phase() {
         for dims in fhgs_shapes(sys) {
@@ -205,8 +177,8 @@ pub fn galois_steps(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<usize> 
                     // E1 rotates an (n × k) input, E2 an (m × k) input,
                     // both in output mode (fresh-mask chains).
                     let out = RotationMode::Output;
-                    add(chain_steps(params, p, out, dims.n, dims.k, dims.m));
-                    add(chain_steps(params, p, out, dims.m, dims.k, dims.n));
+                    add(chain_steps(p, dims.n, dims.k, dims.m, simd, out));
+                    add(chain_steps(p, dims.m, dims.k, dims.n, simd, out));
                 }
             }
         }
@@ -245,6 +217,7 @@ pub fn fingerprint(sys: &SystemConfig, variant: ProtocolVariant) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packing::tf_input_steps;
     use primer_nn::TransformerConfig;
 
     /// The selector's decisions on the test profile.
@@ -310,5 +283,30 @@ mod tests {
         ] {
             assert_eq!(fingerprint(&sys, variant), want, "{variant:?}");
         }
+    }
+
+    /// The selector's decisions on the paper profile: its noise budget
+    /// does *not* carry the input-rotation chain at `test_tiny`'s shapes,
+    /// so every tokens-first weight chain runs in output mode and pays
+    /// one rotation per level up to the row's last — 1 023 at 4 096
+    /// slots, against 14 in input mode.
+    #[test]
+    fn selector_decisions_on_paper_profile() {
+        let sys = SystemConfig::paper_profile(&TransformerConfig::test_tiny()).expect("profile");
+        let params = sys.he.params();
+        assert!(!input_mode_noise_safe(params, 4, 8, 8));
+        for (variant, want) in [
+            (ProtocolVariant::Base, "oooooooo/"),
+            (ProtocolVariant::F, "oooooooo/zz"),
+            (ProtocolVariant::Fp, "oooooooo/zz"),
+            (ProtocolVariant::Fpc, "oooooooo/zz"),
+        ] {
+            assert_eq!(fingerprint(&sys, variant), want, "{variant:?}");
+        }
+        let simd = params.row_size();
+        let rotations =
+            |mode| matmul_counts_mode(Packing::TokensFirst, 4, 8, 8, simd, mode).rotations;
+        assert_eq!(rotations(RotationMode::Output), 1023);
+        assert_eq!(rotations(RotationMode::Input), 14);
     }
 }

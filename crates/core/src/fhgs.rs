@@ -221,41 +221,6 @@ impl FhgsServer {
     }
 }
 
-/// Client offline: samples masks and ships the encrypted triple.
-#[allow(clippy::too_many_arguments)]
-pub fn client_offline<R: Rng + ?Sized>(
-    ring: &Ring,
-    mode: FhgsMode,
-    dims: FhgsDims,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-    rng: &mut R,
-) -> FhgsClient {
-    let rc_a = MatZ::random(ring, dims.n, dims.k, rng);
-    let rc_b = MatZ::random(ring, dims.k, dims.m, rng);
-    client_offline_with_masks(ring, mode, rc_a, rc_b, encoder, encryptor, transport)
-}
-
-/// Client offline with externally chosen masks (the masks under which the
-/// upstream GC steps re-share `A` and `B`).
-pub fn client_offline_with_masks(
-    ring: &Ring,
-    mode: FhgsMode,
-    rc_a: MatZ,
-    rc_b: MatZ,
-    encoder: &BatchEncoder,
-    encryptor: &Encryptor,
-    transport: &dyn Transport,
-) -> FhgsClient {
-    let mut rng = encryptor.fork_rng();
-    let (client, requests) = client_request(ring, mode, rc_a, rc_b, encoder, encryptor, &mut rng);
-    for flight in &requests {
-        flight.send(transport);
-    }
-    client
-}
-
 /// Pipelined client half: encrypts the whole FHGS triple — `Enc(R_a)`,
 /// `Enc(R_bᵀ)`, `Enc(R_a·R_b)` — as three request flights without
 /// touching the transport, with explicit encryption randomness so many
@@ -560,9 +525,14 @@ mod tests {
                     let encoder = BatchEncoder::new(&ctx_c);
                     let encryptor = Encryptor::new(&ctx_c, sk, 251);
                     let ring = Ring::new(ctx_c.params().t());
-                    let pre = client_offline(
-                        &ring, mode, dims, &encoder, &encryptor, &t, &mut seeded(252),
-                    );
+                    let mut rng = seeded(252);
+                    let rc_a = MatZ::random(&ring, dims.n, dims.k, &mut rng);
+                    let rc_b = MatZ::random(&ring, dims.k, dims.m, &mut rng);
+                    let (pre, flights) =
+                        client_request(&ring, mode, rc_a, rc_b, &encoder, &encryptor, &mut rng);
+                    for flight in &flights {
+                        flight.send(&t);
+                    }
                     // Online: server must hold U_a, U_b.
                     let ua = a_c.sub(&ring, &pre.rc_a);
                     let ub = b_c.sub(&ring, &pre.rc_b);

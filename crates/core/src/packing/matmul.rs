@@ -1,31 +1,45 @@
 //! Encrypted x plaintext matrix multiplication for both packings —
 //! the rotation-count asymmetry of Fig. 6 in executable form.
 //!
-//! Tokens-first uses Horner accumulation over stride rotations (one
-//! stride-`n_pad` rotation serves every token); feature-based uses the
-//! diagonal method with up-to-`simd`-step rotation chains. Both paths
-//! `debug_assert` their live op counts against [`matmul_counts`], the
-//! same formulas the analytic cost model extrapolates from.
+//! **One chain body.** Every output ciphertext of every encrypted matmul
+//! is one Horner chain, run by the private `chain` function: it walks the
+//! levels from the top down, rotates the accumulator once by the chain's
+//! step before each level after the first, and multiplies in that
+//! level's `(input ct, mask)` terms. The packings differ only in what
+//! they feed it:
+//!
+//! | chain | step | level `ℓ`'s terms |
+//! |---|---|---|
+//! | tokens-first, output mode | `pad` | `m'_{r,ℓ,k}·x_k` for each input ct `k` |
+//! | tokens-first, input mode | none | `σ_{ℓ·pad}(m'_{r,ℓ,k})·R_{ℓ·pad}(x_k)` off one hoist per input |
+//! | feature-based, full width | `1` | `m'_{oc,ℓ,c}·x_{token,c}` for each chunk `c` |
+//! | feature-based, grouped A | `1` | `m'_{oc,ℓ}·x_z` |
+//! | feature-based, grouped B | `simd − 1` | `m'_{oc,ℓ}·x_z`, none at level 0 (the extra final rotation) |
+//!
+//! Tokens-first's one stride-`pad` rotation serves every token; the
+//! feature-based diagonal method pays up to `simd` steps per chain. The
+//! driver `debug_assert`s its live op counts against
+//! [`matmul_counts_mode`], the closed-form formulas the analytic cost
+//! model extrapolates from.
 //!
 //! **Weights** come in two forms ([`MatmulWeights`]): raw ring matrices
 //! whose masks are encoded fresh inside the chain (the only option for
 //! data-dependent operands like FHGS's online `U` matrices), or a
 //! [`PreparedMatmul`] plane whose masks were encoded + NTT-lifted once
-//! at session Setup. Both forms feed the *same* chain code and build
-//! bit-identical masks, so the output ciphertexts are bit-identical —
-//! the prepared plane only moves the per-mask `encode` +
-//! `prepare_mul_plain` work out of the hot path (the `mask_prep` op
-//! counter proves where it ran).
+//! at session Setup. Every mask is named by one `MaskKey` and built by
+//! one slot dispatcher (`mask_slots`) for both forms, so the output
+//! ciphertexts are bit-identical — the prepared plane only moves the
+//! per-mask `encode` + `prepare_mul_plain` work out of the hot path (the
+//! `mask_prep` op counter proves where it ran).
 //!
-//! **Parallelism**: each output ciphertext is an independent Horner
-//! chain, so the chains fan out across the `rayon` pool (one task per
-//! output ciphertext — "output chunks" in tokens-first, `(token, chunk)`
-//! / `(group, chunk)` pairs in feature-based). The per-chain reduction
-//! order is untouched, so every output ciphertext is **bit-identical**
-//! to the sequential path at any `PRIMER_THREADS`. Live op counts are
-//! tallied per chain (not via the shared evaluator counters, whose
-//! deltas would interleave under concurrency) and summed in chain order
-//! for the model check.
+//! **Parallelism**: the chains fan out across the `rayon` pool (one task
+//! per output ciphertext — "output chunks" in tokens-first, `(token,
+//! chunk)` / `(group, chunk)` pairs in feature-based). The per-chain
+//! reduction order is fixed, so every output ciphertext is
+//! **bit-identical** to the sequential path at any `PRIMER_THREADS`.
+//! Live op counts are tallied per chain (not via the shared evaluator
+//! counters, whose deltas would interleave under concurrency) and summed
+//! in chain order for the model check.
 
 use super::prepared::PreparedMatmul;
 use super::{Layout, MatmulCounts, Packing, PackedMatrix};
@@ -91,7 +105,7 @@ pub enum MatmulWeights<'a> {
 
 /// A mask handed to the chain: borrowed from a prepared plane, or owned
 /// because it was just encoded.
-pub(super) enum MaskRef<'a> {
+enum MaskRef<'a> {
     Borrowed(&'a MulPlain),
     Owned(MulPlain),
 }
@@ -129,107 +143,106 @@ impl<'a> MatmulWeights<'a> {
         }
     }
 
-    fn tf_mask(
-        &self,
-        eval: &Evaluator,
-        in_l: &Layout,
-        r: usize,
-        b: usize,
-        k: usize,
-    ) -> Option<MaskRef<'_>> {
+    /// The mask `key` names, or `None` when every slot is zero (the chain
+    /// skips that multiplication; only tokens-first masks can be empty).
+    fn mask(&self, eval: &Evaluator, in_l: &Layout, key: MaskKey) -> Option<MaskRef<'_>> {
         match self {
-            MatmulWeights::Fresh { w, encoder, .. } => {
-                let slots = tf_mask_slots(in_l, w, r, b, k)?;
+            MatmulWeights::Fresh { w, encoder, mode } => {
+                let slots = mask_slots(in_l, w, *mode, key)?;
                 Some(MaskRef::Owned(eval.prepare_mul_plain(&encoder.encode(&slots))))
             }
-            MatmulWeights::Prepared(p) => p.tf_mask(r, b, k).map(MaskRef::Borrowed),
-        }
-    }
-
-    /// Input-rotation mask: the output-rotation mask slot-rotated by
-    /// `b·pad` (since `R_s(m·x) = σ_s(m)·R_s(x)`). Prepared planes built
-    /// in input mode already store the rotated form.
-    fn tf_mask_rotated(
-        &self,
-        eval: &Evaluator,
-        in_l: &Layout,
-        r: usize,
-        b: usize,
-        k: usize,
-    ) -> Option<MaskRef<'_>> {
-        match self {
-            MatmulWeights::Fresh { w, encoder, .. } => {
-                let slots = tf_mask_slots_rotated(in_l, w, r, b, k)?;
-                Some(MaskRef::Owned(eval.prepare_mul_plain(&encoder.encode(&slots))))
-            }
-            MatmulWeights::Prepared(p) => p.tf_mask(r, b, k).map(MaskRef::Borrowed),
-        }
-    }
-
-    fn fb_full_mask(
-        &self,
-        eval: &Evaluator,
-        in_l: &Layout,
-        oc: usize,
-        delta: usize,
-        c: usize,
-    ) -> MaskRef<'_> {
-        match self {
-            MatmulWeights::Fresh { w, encoder, .. } => {
-                let slots = fb_full_mask_slots(in_l, w, oc, delta, c);
-                MaskRef::Owned(eval.prepare_mul_plain(&encoder.encode(&slots)))
-            }
-            MatmulWeights::Prepared(p) => MaskRef::Borrowed(p.fb_full_mask(oc, delta, c)),
-        }
-    }
-
-    fn fb_grouped_a_mask(
-        &self,
-        eval: &Evaluator,
-        in_l: &Layout,
-        oc: usize,
-        delta: usize,
-    ) -> MaskRef<'_> {
-        match self {
-            MatmulWeights::Fresh { w, encoder, .. } => {
-                let slots = fb_grouped_a_slots(in_l, w, oc, delta);
-                MaskRef::Owned(eval.prepare_mul_plain(&encoder.encode(&slots)))
-            }
-            MatmulWeights::Prepared(p) => MaskRef::Borrowed(p.fb_grouped_a_mask(oc, delta)),
-        }
-    }
-
-    fn fb_grouped_b_mask(
-        &self,
-        eval: &Evaluator,
-        in_l: &Layout,
-        oc: usize,
-        k: usize,
-    ) -> MaskRef<'_> {
-        match self {
-            MatmulWeights::Fresh { w, encoder, .. } => {
-                let slots = fb_grouped_b_slots(in_l, w, oc, k);
-                MaskRef::Owned(eval.prepare_mul_plain(&encoder.encode(&slots)))
-            }
-            MatmulWeights::Prepared(p) => MaskRef::Borrowed(p.fb_grouped_b_mask(oc, k)),
+            MatmulWeights::Prepared(p) => p.mask(key).map(MaskRef::Borrowed),
         }
     }
 }
 
-// ---- mask slot builders (shared by the fresh path and the prepared
-// plane, so both produce bit-identical masks) ------------------------------
+// ---- masks: one key space, one slot dispatcher (shared by the fresh
+// path and the prepared plane, so both produce bit-identical masks) ------
+
+/// Names one multiplication mask of one matmul.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(super) enum MaskKey {
+    /// Tokens-first: output ct `r`, Horner level `b`, input ct `k`.
+    Tf { r: usize, b: usize, k: usize },
+    /// Feature-based full width: output chunk `oc`, diagonal `delta`,
+    /// input chunk `c`.
+    FbFull { oc: usize, delta: usize, c: usize },
+    /// Feature-based grouped chain A: output chunk `oc`, diagonal `delta`.
+    FbA { oc: usize, delta: usize },
+    /// Feature-based grouped chain B: output chunk `oc`, offset `k ≥ 1`.
+    FbB { oc: usize, k: usize },
+}
+
+/// Every mask key a matmul of input layout `in_l` by a `_ × out_cols`
+/// weight can ask for — the list a prepared plane encodes.
+pub(super) fn mask_keys(in_l: &Layout, out_cols: usize) -> Vec<MaskKey> {
+    let simd = in_l.simd;
+    match in_l.packing {
+        Packing::TokensFirst => {
+            let out_cts = Layout::plan(Packing::TokensFirst, in_l.rows, out_cols, simd).num_cts;
+            let (block, in_cts) = (in_l.block(), in_l.num_cts);
+            (0..out_cts * block * in_cts)
+                .map(|i| {
+                    let (r, b, k) = (i / (block * in_cts), i / in_cts % block, i % in_cts);
+                    MaskKey::Tf { r, b, k }
+                })
+                .collect()
+        }
+        Packing::FeatureBased if in_l.pad == simd => {
+            let chunks = in_l.cols.div_ceil(simd);
+            (0..out_cols.div_ceil(simd) * simd * chunks)
+                .map(|i| {
+                    let (oc, delta, c) = (i / (simd * chunks), i / chunks % simd, i % chunks);
+                    MaskKey::FbFull { oc, delta, c }
+                })
+                .collect()
+        }
+        Packing::FeatureBased => {
+            let fp = in_l.pad;
+            (0..out_cols.div_ceil(fp))
+                .flat_map(|oc| {
+                    let a = (0..in_l.cols.min(fp)).map(move |delta| MaskKey::FbA { oc, delta });
+                    let b = (1..fp.min(out_cols - oc * fp)).map(move |k| MaskKey::FbB { oc, k });
+                    a.chain(b)
+                })
+                .collect()
+        }
+    }
+}
+
+/// The slot vector of the mask `key` names, for weight `w` against input
+/// layout `in_l` — `None` when every slot is zero. Tokens-first masks
+/// come slot-rotated in [`RotationMode::Input`].
+pub(super) fn mask_slots(
+    in_l: &Layout,
+    w: &MatZ,
+    mode: RotationMode,
+    key: MaskKey,
+) -> Option<Vec<u64>> {
+    match key {
+        MaskKey::Tf { r, b, k } => {
+            let slots = tf_mask_slots(in_l, w, r, b, k)?;
+            match mode {
+                RotationMode::Output => Some(slots),
+                // `σ_s(m)[i] = m[(i+s) mod simd]` with `s = b·pad`, so that
+                // `σ_s(m')·R_s(x)` equals the Horner term `R_s(m'·x)`.
+                RotationMode::Input => {
+                    let (s, simd) = (b * in_l.pad, in_l.simd);
+                    Some((0..simd).map(|i| slots[(i + s) % simd]).collect())
+                }
+            }
+        }
+        MaskKey::FbFull { oc, delta, c } => Some(fb_full_mask_slots(in_l, w, oc, delta, c)),
+        MaskKey::FbA { oc, delta } => Some(fb_grouped_a_slots(in_l, w, oc, delta)),
+        MaskKey::FbB { oc, k } => Some(fb_grouped_b_slots(in_l, w, oc, k)),
+    }
+}
 
 /// Tokens-first pre-rotated mask `m'_b` for output ct `r`, Horner step
 /// `b`, input ct `k`: feature block `u` contributes
 /// `W[j = k·B+u][g = r·B + (u − b) mod B]`. `None` when every slot is
 /// zero (the chain skips the multiplication entirely).
-pub(super) fn tf_mask_slots(
-    in_l: &Layout,
-    w: &MatZ,
-    r: usize,
-    b: usize,
-    k: usize,
-) -> Option<Vec<u64>> {
+fn tf_mask_slots(in_l: &Layout, w: &MatZ, r: usize, b: usize, k: usize) -> Option<Vec<u64>> {
     if !tf_mask_nonempty(in_l, w.cols(), k, b, r) {
         return None;
     }
@@ -252,23 +265,6 @@ pub(super) fn tf_mask_slots(
     Some(slots)
 }
 
-/// Input-rotation form of [`tf_mask_slots`]: the same mask cyclically
-/// shifted by `b·pad` slots (`σ_s(m)[i] = m[(i+s) mod simd]`), so that
-/// `σ_{b·pad}(m')·R_{b·pad}(x)` equals the Horner term `R_{b·pad}(m'·x)`
-/// slot for slot.
-pub(super) fn tf_mask_slots_rotated(
-    in_l: &Layout,
-    w: &MatZ,
-    r: usize,
-    b: usize,
-    k: usize,
-) -> Option<Vec<u64>> {
-    let slots = tf_mask_slots(in_l, w, r, b, k)?;
-    let s = b * in_l.pad;
-    let simd = in_l.simd;
-    Some((0..simd).map(|i| slots[(i + s) % simd]).collect())
-}
-
 /// The Horner levels `b` that input ciphertext `k` participates in — a
 /// pure function of shapes, so client (planning Galois keys) and server
 /// (building chains) always agree. The returned list is ascending and
@@ -279,6 +275,26 @@ pub fn tf_used_levels(rows: usize, cols: usize, out_cols: usize, simd: usize, k:
     (0..in_l.block())
         .filter(|&b| (0..out_cts).any(|r| tf_mask_nonempty(&in_l, out_cols, k, b, r)))
         .collect()
+}
+
+/// The rotation steps a matmul's chains issue in `mode` — the plan a
+/// prepared plane records and the selector's Galois key list unions.
+/// Input mode (tokens-first only) lists the hoisted steps.
+pub(crate) fn chain_steps(
+    packing: Packing,
+    rows: usize,
+    cols: usize,
+    out_cols: usize,
+    simd: usize,
+    mode: RotationMode,
+) -> Vec<usize> {
+    let in_l = Layout::plan(packing, rows, cols, simd);
+    match (packing, mode) {
+        (Packing::TokensFirst, RotationMode::Output) => vec![in_l.pad],
+        (Packing::TokensFirst, RotationMode::Input) => tf_input_steps(rows, cols, out_cols, simd),
+        (Packing::FeatureBased, _) if in_l.pad == simd => vec![1],
+        (Packing::FeatureBased, _) => vec![1, simd - 1],
+    }
 }
 
 /// All *nonzero* rotation steps (`b·pad`) an input-rotation tokens-first
@@ -317,7 +333,7 @@ pub fn tf_chain_terms_max(rows: usize, cols: usize, out_cols: usize, simd: usize
 
 /// Feature-based full-width mask:
 /// `m'_delta[u] = W[c·simd + u][oc·simd + (u − delta) mod simd]`.
-pub(super) fn fb_full_mask_slots(
+fn fb_full_mask_slots(
     in_l: &Layout,
     w: &MatZ,
     oc: usize,
@@ -339,7 +355,7 @@ pub(super) fn fb_full_mask_slots(
 
 /// Feature-based grouped chain-A mask:
 /// `m'[u·fp + o] = W[o][oc·fp + o − delta]`.
-pub(super) fn fb_grouped_a_slots(in_l: &Layout, w: &MatZ, oc: usize, delta: usize) -> Vec<u64> {
+fn fb_grouped_a_slots(in_l: &Layout, w: &MatZ, oc: usize, delta: usize) -> Vec<u64> {
     let fp = in_l.pad;
     let feats = in_l.cols;
     let dout_chunk = fp.min(w.cols() - oc * fp);
@@ -357,7 +373,7 @@ pub(super) fn fb_grouped_a_slots(in_l: &Layout, w: &MatZ, oc: usize, delta: usiz
 
 /// Feature-based grouped chain-B mask (inverse offsets):
 /// `out[o+k] += in[o]·W[o][o+k]`.
-pub(super) fn fb_grouped_b_slots(in_l: &Layout, w: &MatZ, oc: usize, k: usize) -> Vec<u64> {
+fn fb_grouped_b_slots(in_l: &Layout, w: &MatZ, oc: usize, k: usize) -> Vec<u64> {
     let fp = in_l.pad;
     let feats = in_l.cols;
     let dout_chunk = fp.min(w.cols() - oc * fp);
@@ -392,7 +408,7 @@ pub fn matmul_out_layout(
 
 /// Output layout produced by a feature-based matmul (regions inherit the
 /// input padding, so it differs from `Layout::plan` of a fresh matrix).
-pub(super) fn fb_out_layout(in_l: &Layout, out_cols: usize) -> Layout {
+fn fb_out_layout(in_l: &Layout, out_cols: usize) -> Layout {
     let simd = in_l.simd;
     let fp = in_l.pad;
     let num_cts = if fp == simd {
@@ -500,7 +516,7 @@ pub fn matmul_counts_mode(
     c
 }
 
-pub(super) fn tf_mask_nonempty(
+fn tf_mask_nonempty(
     in_l: &Layout,
     out_cols: usize,
     k: usize,
@@ -577,24 +593,19 @@ pub fn matmul_weights(
     eval: &Evaluator,
     keys: &GaloisKeys,
 ) -> Result<PackedMatrix, HeError> {
-    assert_eq!(x.layout.cols, weights.in_rows(), "inner dimension mismatch");
+    let in_l = &x.layout;
+    assert_eq!(in_l.cols, weights.in_rows(), "inner dimension mismatch");
     if let MatmulWeights::Prepared(p) = weights {
-        assert_eq!(&x.layout, p.in_layout(), "prepared plane built for a different layout");
+        assert_eq!(in_l, p.in_layout(), "prepared plane built for a different layout");
     }
     let mode = weights.mode();
-    let (out, live) = match (x.layout.packing, mode) {
-        (Packing::TokensFirst, RotationMode::Output) => tf_matmul(x, weights, eval, keys)?,
-        (Packing::TokensFirst, RotationMode::Input) => tf_matmul_input(x, weights, eval, keys)?,
-        (Packing::FeatureBased, _) => fb_matmul(x, weights, eval, keys)?,
+    let out_cols = weights.out_cols();
+    let (cts, live) = match in_l.packing {
+        Packing::TokensFirst => tf_matmul(x, weights, eval, keys)?,
+        Packing::FeatureBased => fb_matmul(x, weights, eval, keys)?,
     };
-    let predicted = matmul_counts_mode(
-        x.layout.packing,
-        x.layout.rows,
-        x.layout.cols,
-        weights.out_cols(),
-        x.layout.simd,
-        mode,
-    );
+    let predicted =
+        matmul_counts_mode(in_l.packing, in_l.rows, in_l.cols, out_cols, in_l.simd, mode);
     debug_assert_eq!(
         live.rotations, predicted.rotations,
         "rotation count model diverged from implementation"
@@ -603,285 +614,168 @@ pub fn matmul_weights(
         live.mul_plain, predicted.mul_plain,
         "mul_plain count model diverged from implementation"
     );
-    Ok(out)
+    let layout = matmul_out_layout(in_l.packing, in_l.rows, in_l.cols, out_cols, in_l.simd);
+    debug_assert_eq!(layout.num_cts, cts.len());
+    Ok(PackedMatrix { layout, cts })
 }
 
-/// Collects the per-chain results of a parallel matmul: ciphertexts in
-/// chain order, live counts summed, first error propagated.
-fn collect_chains(
-    results: Vec<Result<(Ciphertext, LiveCounts), HeError>>,
-) -> Result<(Vec<Ciphertext>, LiveCounts), HeError> {
-    let mut cts = Vec::with_capacity(results.len());
+/// The one Horner chain body behind every output ciphertext: walks levels
+/// `top..=0` in descending order; before each level, rotates the
+/// accumulator (once it exists) by `step`, if there is one; then
+/// multiplies in `terms(level)`'s `(input ct, mask)` pairs. A chain with
+/// no terms at all yields the zero ciphertext.
+fn chain<'t, I>(
+    eval: &Evaluator,
+    keys: &GaloisKeys,
+    top: usize,
+    step: Option<usize>,
+    terms: impl Fn(usize) -> I,
+) -> Result<(Ciphertext, LiveCounts), HeError>
+where
+    I: IntoIterator<Item = (&'t Ciphertext, MaskRef<'t>)>,
+{
+    let mut live = LiveCounts::default();
+    let mut acc: Option<Ciphertext> = None;
+    for level in (0..=top).rev() {
+        if let (Some(a), Some(s)) = (&acc, step) {
+            acc = Some(eval.rotate_rows(a, s, keys)?);
+            live.rotations += 1;
+        }
+        for (ct, mask) in terms(level) {
+            live.mul_plain += 1;
+            match &mut acc {
+                None => acc = Some(eval.mul_plain(ct, &mask)),
+                Some(a) => eval.mul_plain_accumulate(a, ct, &mask),
+            }
+        }
+    }
+    Ok((acc.unwrap_or_else(|| eval.zero_ciphertext()), live))
+}
+
+/// Collects per-task results of a parallel matmul stage in task order,
+/// summing their live counts and propagating the first error.
+fn collect_chains<T>(
+    results: Vec<Result<(T, LiveCounts), HeError>>,
+) -> Result<(Vec<T>, LiveCounts), HeError> {
+    let mut out = Vec::with_capacity(results.len());
     let mut live = LiveCounts::default();
     for r in results {
-        let (ct, counts) = r?;
+        let (item, counts) = r?;
         live.merge(&counts);
-        cts.push(ct);
+        out.push(item);
     }
-    Ok((cts, live))
+    Ok((out, live))
 }
 
-/// Tokens-first matmul (Horner accumulation over stride rotations),
-/// parallel across output ciphertexts.
+/// Tokens-first matmul, one chain per output ciphertext. In output mode
+/// each chain rotates its accumulator by `pad` per level. In input mode
+/// each input ciphertext is first hoisted once and rotated to every
+/// level it is used at (one [`Evaluator::rotate_many`], shared by all
+/// chains), and the chains multiply slot-rotated masks into those
+/// pre-rotated inputs with no further rotation:
+///
+/// ```text
+/// result_r = Σ_b R_{b·pad}(Σ_k m'_{r,b,k}·x_k)          (output mode)
+///          = Σ_b Σ_k σ_{b·pad}(m'_{r,b,k})·R_{b·pad}(x_k)  (input mode)
+/// ```
 fn tf_matmul(
     x: &PackedMatrix,
     weights: &MatmulWeights<'_>,
     eval: &Evaluator,
     keys: &GaloisKeys,
-) -> Result<(PackedMatrix, LiveCounts), HeError> {
+) -> Result<(Vec<Ciphertext>, LiveCounts), HeError> {
     let in_l = &x.layout;
-    let block = in_l.block();
-    let pad = in_l.pad;
-    let out_l = Layout::plan(Packing::TokensFirst, in_l.rows, weights.out_cols(), in_l.simd);
-    let results = rayon::par_iter_chunks(out_l.num_cts, |r| {
-        let mut live = LiveCounts::default();
-        // Horner over stride rotations: acc ← rot(acc) + y_b, b descending.
-        let mut acc: Option<Ciphertext> = None;
-        for b in (0..block).rev() {
-            if let Some(a) = acc.take() {
-                acc = Some(eval.rotate_rows(&a, pad, keys)?);
-                live.rotations += 1;
-            }
-            let mut step_sum: Option<Ciphertext> = None;
-            for k in 0..in_l.num_cts {
-                let Some(mask) = weights.tf_mask(eval, in_l, r, b, k) else {
-                    continue;
-                };
-                live.mul_plain += 1;
-                match &mut step_sum {
-                    None => step_sum = Some(eval.mul_plain(&x.cts[k], &mask)),
-                    Some(s) => eval.mul_plain_accumulate(s, &x.cts[k], &mask),
-                }
-            }
-            acc = match (acc, step_sum) {
-                (None, None) => None,
-                (None, Some(y)) => Some(y),
-                (Some(a), None) => Some(a),
-                (Some(a), Some(y)) => Some(eval.add(&a, &y)),
-            };
-        }
-        Ok((acc.unwrap_or_else(|| eval.zero_ciphertext()), live))
-    });
-    let (out_cts, live) = collect_chains(results)?;
-    Ok((PackedMatrix { layout: out_l, cts: out_cts }, live))
-}
-
-/// Tokens-first matmul in input-rotation mode: each input ciphertext is
-/// hoisted once and rotated to every Horner level it participates in
-/// (one [`Evaluator::rotate_many`] per input ct, shared by *all* output
-/// chains), then each output ciphertext is a flat sum of slot-rotated
-/// masks times pre-rotated inputs:
-///
-/// ```text
-/// result_r = Σ_b R_{b·pad}(Σ_k m'_{r,b,k}·x_k)          (Horner form)
-///          = Σ_b Σ_k σ_{b·pad}(m'_{r,b,k})·R_{b·pad}(x_k)
-/// ```
-///
-/// Rotations drop from `Σ_r b_max(r)` to `Σ_k |used(k)\{0}|`; the price
-/// is key-switch noise passing through the mask multiplication, which is
-/// why the layout selector noise-gates this mode per parameter profile.
-fn tf_matmul_input(
-    x: &PackedMatrix,
-    weights: &MatmulWeights<'_>,
-    eval: &Evaluator,
-    keys: &GaloisKeys,
-) -> Result<(PackedMatrix, LiveCounts), HeError> {
-    let in_l = &x.layout;
-    let block = in_l.block();
-    let pad = in_l.pad;
+    let (block, pad) = (in_l.block(), in_l.pad);
     let out_cols = weights.out_cols();
-    let out_l = Layout::plan(Packing::TokensFirst, in_l.rows, out_cols, in_l.simd);
-    let used: Vec<Vec<usize>> = (0..in_l.num_cts)
-        .map(|k| tf_used_levels(in_l.rows, in_l.cols, out_cols, in_l.simd, k))
-        .collect();
-
-    // Stage 1 (parallel over input cts): one hoist each, every used
-    // rotation keyed off it. Level 0 comes back as a free clone.
-    let rotated_results = rayon::par_iter_chunks(in_l.num_cts, |k| {
-        let steps: Vec<usize> = used[k].iter().map(|&b| b * pad).collect();
-        let mut live = LiveCounts::default();
-        live.rotations += steps.iter().filter(|&&s| s != 0).count() as u64;
-        let cts = eval.rotate_many(&x.cts[k], &steps, keys)?;
-        Ok((cts, live))
-    });
-    let mut rot_live = LiveCounts::default();
-    let mut rotated: Vec<Vec<Ciphertext>> = Vec::with_capacity(in_l.num_cts);
-    for r in rotated_results {
-        let (cts, lc) = r?;
-        rot_live.merge(&lc);
-        rotated.push(cts);
-    }
-
-    // Stage 2 (parallel over output cts): flat accumulation in fixed
-    // (b descending, k ascending) order, so fresh and prepared masks
-    // yield bit-identical outputs.
-    let results = rayon::par_iter_chunks(out_l.num_cts, |r| {
-        let mut live = LiveCounts::default();
-        let mut acc: Option<Ciphertext> = None;
-        for b in (0..block).rev() {
-            for k in 0..in_l.num_cts {
-                let Some(mask) = weights.tf_mask_rotated(eval, in_l, r, b, k) else {
-                    continue;
-                };
-                let pos = used[k]
-                    .iter()
-                    .position(|&ub| ub == b)
-                    .expect("nonempty mask implies a used level");
-                let src = &rotated[k][pos];
-                live.mul_plain += 1;
-                match &mut acc {
-                    None => acc = Some(eval.mul_plain(src, &mask)),
-                    Some(a) => eval.mul_plain_accumulate(a, src, &mask),
+    let out_cts = Layout::plan(Packing::TokensFirst, in_l.rows, out_cols, in_l.simd).num_cts;
+    // Input mode: `rotated[k][b]` is `R_{b·pad}(x_k)` at every level `b`
+    // input `k` is used at, all off one hoist (level 0 is a free clone).
+    let (rotated, mut live) = match weights.mode() {
+        RotationMode::Output => (None, LiveCounts::default()),
+        RotationMode::Input => {
+            let (rotated, hoists) = collect_chains(rayon::par_iter_chunks(in_l.num_cts, |k| {
+                let used = tf_used_levels(in_l.rows, in_l.cols, out_cols, in_l.simd, k);
+                let steps: Vec<usize> = used.iter().map(|&b| b * pad).collect();
+                let rotations = steps.iter().filter(|&&s| s != 0).count() as u64;
+                let mut at: Vec<Option<Ciphertext>> = (0..block).map(|_| None).collect();
+                for (b, ct) in used.into_iter().zip(eval.rotate_many(&x.cts[k], &steps, keys)?) {
+                    at[b] = Some(ct);
                 }
-            }
+                Ok((at, LiveCounts { rotations, mul_plain: 0 }))
+            }))?;
+            (Some(rotated), hoists)
         }
-        Ok((acc.unwrap_or_else(|| eval.zero_ciphertext()), live))
+    };
+    let src = |k: usize, b: usize| match &rotated {
+        None => &x.cts[k],
+        Some(rot) => rot[k][b].as_ref().expect("nonempty mask implies a used level"),
+    };
+    let step = rotated.is_none().then_some(pad);
+    let results = rayon::par_iter_chunks(out_cts, |r| {
+        chain(eval, keys, block - 1, step, |b| {
+            (0..in_l.num_cts).filter_map(move |k| {
+                let mask = weights.mask(eval, in_l, MaskKey::Tf { r, b, k })?;
+                Some((src(k, b), mask))
+            })
+        })
     });
-    let (out_cts, mut live) = collect_chains(results)?;
-    live.merge(&rot_live);
-    Ok((PackedMatrix { layout: out_l, cts: out_cts }, live))
+    let (cts, chains) = collect_chains(results)?;
+    live.merge(&chains);
+    Ok((cts, live))
 }
 
-/// Feature-based matmul (diagonal method; dual Horner chains when
-/// multiple token regions share a ciphertext).
+/// Feature-based matmul (diagonal method). `pad == simd`: each input
+/// ciphertext is one feature chunk of one token, and each `(token,
+/// chunk)` output is one full `simd`-level chain. `pad < simd`: several
+/// token regions share a ciphertext, output regions inherit the region
+/// size `fp`, and each `(group, chunk)` output adds chain A (positive
+/// feature-output offsets) to chain B (negative ones, realized as
+/// inverse rotations).
 fn fb_matmul(
     x: &PackedMatrix,
     weights: &MatmulWeights<'_>,
     eval: &Evaluator,
     keys: &GaloisKeys,
-) -> Result<(PackedMatrix, LiveCounts), HeError> {
-    let fp = x.layout.pad;
-    if fp == x.layout.simd {
-        fb_matmul_full(x, weights, eval, keys)
-    } else {
-        fb_matmul_grouped(x, weights, eval, keys)
-    }
-}
-
-/// Feature-based, `pad == simd`: each ciphertext is one feature chunk of
-/// one token; a full `simd`-step rotation chain per output ciphertext,
-/// parallel across `(token, chunk)` outputs.
-fn fb_matmul_full(
-    x: &PackedMatrix,
-    weights: &MatmulWeights<'_>,
-    eval: &Evaluator,
-    keys: &GaloisKeys,
-) -> Result<(PackedMatrix, LiveCounts), HeError> {
+) -> Result<(Vec<Ciphertext>, LiveCounts), HeError> {
     let in_l = &x.layout;
-    let simd = in_l.simd;
-    let chunks = in_l.cols.div_ceil(simd);
+    let (simd, fp) = (in_l.simd, in_l.pad);
     let out_cols = weights.out_cols();
-    let out_chunks = out_cols.div_ceil(simd);
-    // Output here uses full-width regions regardless of out width.
-    let results = rayon::par_iter_chunks(in_l.rows * out_chunks, |idx| {
-        let (token, oc) = (idx / out_chunks, idx % out_chunks);
-        let mut live = LiveCounts::default();
-        let mut acc: Option<Ciphertext> = None;
-        for delta in (0..simd).rev() {
-            let mut step_sum: Option<Ciphertext> = None;
-            for c in 0..chunks {
-                if c * simd >= in_l.cols {
-                    continue;
-                }
-                let mask = weights.fb_full_mask(eval, in_l, oc, delta, c);
-                let ct = &x.cts[token * chunks + c];
-                live.mul_plain += 1;
-                match &mut step_sum {
-                    None => step_sum = Some(eval.mul_plain(ct, &mask)),
-                    Some(s) => eval.mul_plain_accumulate(s, ct, &mask),
-                }
+    let mask = |key| weights.mask(eval, in_l, key).expect("feature-based masks are dense");
+    let results = if fp == simd {
+        let chunks = in_l.cols.div_ceil(simd);
+        let out_chunks = out_cols.div_ceil(simd);
+        rayon::par_iter_chunks(in_l.rows * out_chunks, |idx| {
+            let (token, oc) = (idx / out_chunks, idx % out_chunks);
+            chain(eval, keys, simd - 1, Some(1), |delta| {
+                (0..chunks).map(move |c| {
+                    (&x.cts[token * chunks + c], mask(MaskKey::FbFull { oc, delta, c }))
+                })
+            })
+        })
+    } else {
+        let out_chunks = out_cols.div_ceil(fp);
+        rayon::par_iter_chunks(in_l.num_cts * out_chunks, |idx| {
+            let (z, oc) = (idx / out_chunks, idx % out_chunks);
+            let ct = &x.cts[z];
+            // Chain A: m'[u·fp + o] = W[o][oc·fp + o − delta].
+            let a_top = in_l.cols.min(fp) - 1;
+            let (a, mut live) = chain(eval, keys, a_top, Some(1), |delta| {
+                [(ct, mask(MaskKey::FbA { oc, delta }))]
+            })?;
+            let dout_chunk = fp.min(out_cols - oc * fp);
+            if dout_chunk == 1 {
+                return Ok((a, live));
             }
-            let y = step_sum.expect("chunk loop ran");
-            acc = Some(match acc {
-                None => y,
-                Some(a) => {
-                    let rotated = eval.rotate_rows(&a, 1, keys)?;
-                    live.rotations += 1;
-                    eval.add(&rotated, &y)
-                }
-            });
-        }
-        Ok((acc.expect("simd > 0"), live))
-    });
-    let (out_cts, live) = collect_chains(results)?;
-    let layout = fb_out_layout(in_l, out_cols);
-    debug_assert_eq!(layout.num_cts, out_cts.len());
-    Ok((PackedMatrix { layout, cts: out_cts }, live))
-}
-
-/// Feature-based, `pad < simd`: several token regions per ciphertext.
-/// Output regions inherit the input region size `fp`; output columns are
-/// chunked by `fp`. Two Horner chains handle positive and negative
-/// feature-output offsets.
-fn fb_matmul_grouped(
-    x: &PackedMatrix,
-    weights: &MatmulWeights<'_>,
-    eval: &Evaluator,
-    keys: &GaloisKeys,
-) -> Result<(PackedMatrix, LiveCounts), HeError> {
-    let in_l = &x.layout;
-    let simd = in_l.simd;
-    let fp = in_l.pad;
-    let feats = in_l.cols;
-    let dout = weights.out_cols();
-    let out_chunks = dout.div_ceil(fp);
-    let results = rayon::par_iter_chunks(in_l.num_cts * out_chunks, |idx| {
-        let (z, oc) = (idx / out_chunks, idx % out_chunks);
-        let mut live = LiveCounts::default();
-        let dout_chunk = fp.min(dout - oc * fp);
-        let ct = &x.cts[z];
-        // Chain A: delta = 0..feats: m'[u·fp + o] = W[o][oc·fp + o−delta].
-        let chain_a_len = feats.min(fp);
-        let mut acc_a: Option<Ciphertext> = None;
-        for delta in (0..chain_a_len).rev() {
-            let mask = weights.fb_grouped_a_mask(eval, in_l, oc, delta);
-            let y = eval.mul_plain(ct, &mask);
-            live.mul_plain += 1;
-            acc_a = Some(match acc_a {
-                None => y,
-                Some(a) => {
-                    let rotated = eval.rotate_rows(&a, 1, keys)?;
-                    live.rotations += 1;
-                    eval.add(&rotated, &y)
-                }
-            });
-        }
-        let mut result = acc_a.expect("chain A non-empty");
-        // Chain B: k = 1..dout_chunk: out[o+k] += in[o]·W[o][o+k],
-        // realized as inverse rotations (step simd−1 chains).
-        if dout_chunk > 1 {
-            let mut acc_b: Option<Ciphertext> = None;
-            for k in (1..dout_chunk).rev() {
-                let mask = weights.fb_grouped_b_mask(eval, in_l, oc, k);
-                let y = eval.mul_plain(ct, &mask);
-                live.mul_plain += 1;
-                acc_b = Some(match acc_b {
-                    None => y,
-                    Some(a) => {
-                        let rotated = eval.rotate_rows(&a, simd - 1, keys)?;
-                        live.rotations += 1;
-                        eval.add(&rotated, &y)
-                    }
-                });
-            }
-            if let Some(b_acc) = acc_b {
-                let rotated = eval.rotate_rows(&b_acc, simd - 1, keys)?;
-                live.rotations += 1;
-                result = eval.add(&result, &rotated);
-            }
-        }
-        Ok((result, live))
-    });
-    let (out_cts, live) = collect_chains(results)?;
-    let layout = Layout {
-        packing: Packing::FeatureBased,
-        rows: in_l.rows,
-        cols: dout,
-        simd,
-        pad: fp,
-        num_cts: out_cts.len(),
+            // Chain B: out[o+k] += in[o]·W[o][o+k]; level 0 has no term,
+            // so the chain ends on one more inverse rotation.
+            let (b, b_live) = chain(eval, keys, dout_chunk - 1, Some(simd - 1), |k| {
+                (k > 0).then(|| (ct, mask(MaskKey::FbB { oc, k })))
+            })?;
+            live.merge(&b_live);
+            Ok((eval.add(&a, &b), live))
+        })
     };
-    Ok((PackedMatrix { layout, cts: out_cts }, live))
+    collect_chains(results)
 }
 
 #[cfg(test)]
@@ -944,7 +838,14 @@ mod tests {
             let fresh =
                 matmul_plain_weights(&packed, &w, &fx.eval, &fx.encoder, &fx.keys).expect("keys");
 
-            let prepared = PreparedMatmul::new(packing, rows, &w, &fx.eval, &fx.encoder);
+            let prepared = PreparedMatmul::new_with_mode(
+                packing,
+                rows,
+                &w,
+                &fx.eval,
+                &fx.encoder,
+                RotationMode::Output,
+            );
             assert!(prepared.mask_bytes() > 0);
             let before = fx.eval.counts();
             let via_plane = matmul_prepared(&packed, &prepared, &fx.eval, &fx.keys).expect("keys");
@@ -965,9 +866,12 @@ mod tests {
         let fx = fixture(4);
         let simd = fx.encoder.row_size();
         let w = small_matrix(&fx.ring, 8, 16, 280);
-        let tf = PreparedMatmul::new(Packing::TokensFirst, 4, &w, &fx.eval, &fx.encoder);
+        let plane = |packing| {
+            PreparedMatmul::new_with_mode(packing, 4, &w, &fx.eval, &fx.encoder, RotationMode::Output)
+        };
+        let tf = plane(Packing::TokensFirst);
         assert_eq!(tf.rotation_steps(), &[4]);
-        let fb = PreparedMatmul::new(Packing::FeatureBased, 4, &w, &fx.eval, &fx.encoder);
+        let fb = plane(Packing::FeatureBased);
         assert_eq!(fb.rotation_steps(), &[1, simd - 1]);
     }
 
@@ -1079,6 +983,73 @@ mod tests {
         let weights = MatmulWeights::Fresh { w: &w, encoder: &fx.encoder, mode: RotationMode::Input };
         let err = matmul_weights(&packed, &weights, &fx.eval, &fx.keys).unwrap_err();
         assert!(matches!(err, HeError::MissingGaloisKey { .. }), "got {err:?}");
+    }
+
+    /// 64-bit FNV-1a — change detection for the golden digests, not a
+    /// cryptographic hash.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// FNV-1a over every output ciphertext's `to_bytes()`, in output
+    /// order, for one matmul from either mask source.
+    fn chain_digest(
+        packing: Packing,
+        (rows, cols, out_cols): (usize, usize, usize),
+        mode: RotationMode,
+        prepared: bool,
+    ) -> u64 {
+        let fx = match mode {
+            RotationMode::Output => fixture(rows.next_power_of_two()),
+            RotationMode::Input => input_mode_fixture(rows, cols, out_cols),
+        };
+        let x = small_matrix(&fx.ring, rows, cols, 340 + out_cols as u64);
+        let w = small_matrix(&fx.ring, cols, out_cols, 341 + cols as u64);
+        let packed = encrypt_matrix(packing, &x, &fx.encoder, &fx.encryptor);
+        let product = if prepared {
+            let plane =
+                PreparedMatmul::new_with_mode(packing, rows, &w, &fx.eval, &fx.encoder, mode);
+            matmul_prepared(&packed, &plane, &fx.eval, &fx.keys)
+        } else {
+            let weights = MatmulWeights::Fresh { w: &w, encoder: &fx.encoder, mode };
+            matmul_weights(&packed, &weights, &fx.eval, &fx.keys)
+        }
+        .expect("keys");
+        assert_eq!(
+            decrypt_matrix(&product, &fx.encoder, &fx.encryptor),
+            x.matmul(&fx.ring, &w),
+            "{packing:?} {mode:?} {rows}x{cols}x{out_cols}"
+        );
+        product.cts.iter().fold(0xcbf2_9ce4_8422_2325, |h, ct| fnv1a(h, &ct.to_bytes()))
+    }
+
+    /// Every chain kind's output ciphertexts, hashed byte for byte and
+    /// pinned: a refactor of the chain body or the mask store must not
+    /// move one bit, from fresh or prepared weights.
+    #[test]
+    fn golden_chain_digests() {
+        use Packing::{FeatureBased as Fb, TokensFirst as Tf};
+        use RotationMode::{Input, Output};
+        let golden = [
+            (Tf, (4, 8, 16), Output, 0x5eb1_da6f_0d60_c2bf),
+            (Tf, (3, 10, 5), Output, 0x473c_fad7_7372_46eb),
+            (Tf, (4, 32, 8), Output, 0x22cf_ce9e_669b_9132),
+            (Fb, (4, 8, 16), Output, 0x76b2_5d14_32a9_67a3),
+            (Fb, (3, 10, 5), Output, 0x1f94_85c1_0624_ac4b),
+            (Fb, (2, 513, 6), Output, 0xbe4f_4228_9c9a_a035),
+            (Tf, (4, 8, 16), Input, 0x355c_a8b4_e546_5dd2),
+            (Tf, (3, 10, 5), Input, 0x56e4_3ca9_7ef6_804c),
+            (Tf, (4, 32, 8), Input, 0xce05_6fae_d57b_a486),
+        ];
+        for (packing, shape, mode, want) in golden {
+            for prepared in [false, true] {
+                let got = chain_digest(packing, shape, mode, prepared);
+                assert_eq!(
+                    got, want,
+                    "{packing:?} {shape:?} {mode:?} prepared={prepared}: {got:#018x}"
+                );
+            }
+        }
     }
 
     #[test]

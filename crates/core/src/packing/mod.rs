@@ -287,6 +287,7 @@ pub use matmul::{
     matmul_weights, tf_chain_terms_max, tf_input_steps, tf_used_levels, MatmulWeights,
     RotationMode,
 };
+pub(crate) use matmul::chain_steps;
 pub use prepared::PreparedMatmul;
 pub use zerorot::ZrLayout;
 

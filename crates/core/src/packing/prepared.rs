@@ -5,9 +5,10 @@
 //! pre-refactor hot path re-encoded and re-NTT-lifted every one of them
 //! on every query. A [`PreparedMatmul`] performs that work exactly once,
 //! at session **Setup**, and hands the chains read-only NTT-form
-//! [`MulPlain`] masks. The masks are built by the *same* slot builders
-//! as the fresh path, so prepared and fresh matmuls are bit-identical;
-//! the only difference is where (and how often) `mask_prep` ops run.
+//! [`MulPlain`] masks, one per key of the matmul's mask key list. Each
+//! mask is built by the *same* slot dispatcher as the fresh path, so
+//! prepared and fresh matmuls are bit-identical; the only difference is
+//! where (and how often) `mask_prep` ops run.
 //!
 //! Planes are immutable after construction (`Sync` by construction), so
 //! the serving registry can share one `Arc`'d plane set between every
@@ -15,25 +16,12 @@
 //! `primer_serve::Server`'s prepared-plane cache.
 
 use super::matmul::{
-    fb_full_mask_slots, fb_grouped_a_slots, fb_grouped_b_slots, fb_out_layout, tf_input_steps,
-    tf_mask_slots, tf_mask_slots_rotated, RotationMode,
+    chain_steps, mask_keys, mask_slots, matmul_out_layout, MaskKey, RotationMode,
 };
 use super::{Layout, Packing};
 use primer_he::{BatchEncoder, Evaluator, MulPlain};
 use primer_math::MatZ;
-
-/// Per-packing mask storage, indexed exactly the way the chains walk.
-enum Masks {
-    /// `masks[(r·block + b)·in_cts + k]`; `None` where the mask is empty
-    /// (the chain skips those multiplications).
-    TokensFirst { block: usize, in_cts: usize, masks: Vec<Option<MulPlain>> },
-    /// `masks[oc][delta·chunks + c]` (token-independent: every token's
-    /// chain reuses the same per-(oc, delta, chunk) mask).
-    FbFull { chunks: usize, masks: Vec<Vec<MulPlain>> },
-    /// Chain A `a[oc][delta]`, chain B `b[oc][k−1]` (B's length per `oc`
-    /// is `dout_chunk − 1`).
-    FbGrouped { a: Vec<Vec<MulPlain>>, b: Vec<Vec<MulPlain>> },
-}
+use std::collections::HashMap;
 
 /// One weight matrix's masks, encoded + NTT-lifted once for a fixed
 /// input shape `(packing, rows, in_cols)`, plus the rotation plan its
@@ -42,30 +30,20 @@ pub struct PreparedMatmul {
     in_layout: Layout,
     out_layout: Layout,
     out_cols: usize,
-    masks: Masks,
+    /// Every nonempty mask the chains ask for (empty tokens-first masks
+    /// are absent: the chains skip those multiplications).
+    masks: HashMap<MaskKey, MulPlain>,
     mask_bytes: u64,
     steps: Vec<usize>,
     mode: RotationMode,
 }
 
 impl PreparedMatmul {
-    /// Builds the plane for `Enc(X: rows × w.rows()) · w`, fanning the
-    /// per-mask encoding across the thread pool (the build is a pure
-    /// function of `(packing, rows, w)`, so parallelism cannot change
-    /// the masks). Chains run in output-rotation mode; the layout
-    /// selector uses [`PreparedMatmul::new_with_mode`].
-    pub fn new(
-        packing: Packing,
-        rows: usize,
-        w: &MatZ,
-        eval: &Evaluator,
-        encoder: &BatchEncoder,
-    ) -> Self {
-        Self::new_with_mode(packing, rows, w, eval, encoder, RotationMode::Output)
-    }
-
-    /// [`PreparedMatmul::new`] with an explicit rotation mode. In input
-    /// mode (tokens-first only) the stored masks are the slot-rotated
+    /// Builds the plane for `Enc(X: rows × w.rows()) · w` with chains in
+    /// rotation mode `mode`, fanning the per-mask encoding across the
+    /// thread pool (the build is a pure function of `(packing, rows, w,
+    /// mode)`, so parallelism cannot change the masks). In input mode
+    /// (tokens-first only) the stored masks are the slot-rotated
     /// `σ_{b·pad}(m')` forms and the rotation plan is the per-input-ct
     /// hoisted step list instead of the single Horner stride.
     pub fn new_with_mode(
@@ -83,72 +61,16 @@ impl PreparedMatmul {
         let simd = encoder.row_size();
         let in_l = Layout::plan(packing, rows, w.rows(), simd);
         let out_cols = w.cols();
-        let prep = |slots: &[u64]| eval.prepare_mul_plain(&encoder.encode(slots));
-        let (masks, out_layout, steps) = match packing {
-            Packing::TokensFirst => {
-                let out_l = Layout::plan(packing, rows, out_cols, simd);
-                let block = in_l.block();
-                let in_cts = in_l.num_cts;
-                let total = out_l.num_cts * block * in_cts;
-                let masks = rayon::par_iter_chunks(total, |idx| {
-                    let (rb, k) = (idx / in_cts, idx % in_cts);
-                    let (r, b) = (rb / block, rb % block);
-                    match mode {
-                        RotationMode::Output => {
-                            tf_mask_slots(&in_l, w, r, b, k).map(|slots| prep(&slots))
-                        }
-                        RotationMode::Input => {
-                            tf_mask_slots_rotated(&in_l, w, r, b, k).map(|slots| prep(&slots))
-                        }
-                    }
-                });
-                let steps = match mode {
-                    RotationMode::Output => vec![in_l.pad],
-                    RotationMode::Input => tf_input_steps(rows, w.rows(), out_cols, simd),
-                };
-                (Masks::TokensFirst { block, in_cts, masks }, out_l, steps)
-            }
-            Packing::FeatureBased if in_l.pad == simd => {
-                let chunks = in_l.cols.div_ceil(simd);
-                let out_chunks = out_cols.div_ceil(simd);
-                let masks = rayon::par_iter_chunks(out_chunks, |oc| {
-                    (0..simd * chunks)
-                        .map(|i| {
-                            let (delta, c) = (i / chunks, i % chunks);
-                            prep(&fb_full_mask_slots(&in_l, w, oc, delta, c))
-                        })
-                        .collect()
-                });
-                (Masks::FbFull { chunks, masks }, fb_out_layout(&in_l, out_cols), vec![1])
-            }
-            Packing::FeatureBased => {
-                let fp = in_l.pad;
-                let out_chunks = out_cols.div_ceil(fp);
-                let chain_a = in_l.cols.min(fp);
-                let a = rayon::par_iter_chunks(out_chunks, |oc| {
-                    (0..chain_a).map(|delta| prep(&fb_grouped_a_slots(&in_l, w, oc, delta))).collect()
-                });
-                let b = rayon::par_iter_chunks(out_chunks, |oc| {
-                    let dout_chunk = fp.min(out_cols - oc * fp);
-                    (1..dout_chunk).map(|k| prep(&fb_grouped_b_slots(&in_l, w, oc, k))).collect()
-                });
-                (Masks::FbGrouped { a, b }, fb_out_layout(&in_l, out_cols), vec![1, simd - 1])
-            }
-        };
-        let mask_bytes = match &masks {
-            Masks::TokensFirst { masks, .. } => {
-                masks.iter().flatten().map(|m| m.resident_bytes() as u64).sum()
-            }
-            Masks::FbFull { masks, .. } => {
-                masks.iter().flatten().map(|m| m.resident_bytes() as u64).sum()
-            }
-            Masks::FbGrouped { a, b } => a
-                .iter()
-                .chain(b)
-                .flatten()
-                .map(|m| m.resident_bytes() as u64)
-                .sum(),
-        };
+        let keys = mask_keys(&in_l, out_cols);
+        let encoded = rayon::par_iter_chunks(keys.len(), |i| {
+            mask_slots(&in_l, w, mode, keys[i])
+                .map(|slots| eval.prepare_mul_plain(&encoder.encode(&slots)))
+        });
+        let masks: HashMap<MaskKey, MulPlain> =
+            keys.into_iter().zip(encoded).filter_map(|(key, m)| Some((key, m?))).collect();
+        let mask_bytes = masks.values().map(|m| m.resident_bytes() as u64).sum();
+        let steps = chain_steps(packing, rows, w.rows(), out_cols, simd, mode);
+        let out_layout = matmul_out_layout(packing, rows, w.rows(), out_cols, simd);
         Self { in_layout: in_l, out_layout, out_cols, masks, mask_bytes, steps, mode }
     }
 
@@ -201,32 +123,9 @@ impl PreparedMatmul {
         }
     }
 
-    pub(super) fn tf_mask(&self, r: usize, b: usize, k: usize) -> Option<&MulPlain> {
-        let Masks::TokensFirst { block, in_cts, masks } = &self.masks else {
-            panic!("prepared plane is not tokens-first");
-        };
-        masks[(r * block + b) * in_cts + k].as_ref()
-    }
-
-    pub(super) fn fb_full_mask(&self, oc: usize, delta: usize, c: usize) -> &MulPlain {
-        let Masks::FbFull { chunks, masks } = &self.masks else {
-            panic!("prepared plane is not feature-based full-width");
-        };
-        &masks[oc][delta * chunks + c]
-    }
-
-    pub(super) fn fb_grouped_a_mask(&self, oc: usize, delta: usize) -> &MulPlain {
-        let Masks::FbGrouped { a, .. } = &self.masks else {
-            panic!("prepared plane is not feature-based grouped");
-        };
-        &a[oc][delta]
-    }
-
-    pub(super) fn fb_grouped_b_mask(&self, oc: usize, k: usize) -> &MulPlain {
-        let Masks::FbGrouped { b, .. } = &self.masks else {
-            panic!("prepared plane is not feature-based grouped");
-        };
-        &b[oc][k - 1]
+    /// The mask `key` names; `None` for an empty tokens-first mask.
+    pub(super) fn mask(&self, key: MaskKey) -> Option<&MulPlain> {
+        self.masks.get(&key)
     }
 }
 

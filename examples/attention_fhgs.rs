@@ -37,16 +37,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let encoder = BatchEncoder::new(&ctx_c);
             let encryptor = Encryptor::new(&ctx_c, sk, 32);
             let ring = Ring::new(ctx_c.params().t());
-            // Offline: ship the Beaver-style encrypted triple.
-            let pre = fhgs::client_offline(
-                &ring,
-                FhgsMode::Diagonal(Packing::TokensFirst),
-                dims,
-                &encoder,
-                &encryptor,
-                &t,
-                &mut seeded(33),
-            );
+            // Offline: mask both operands and ship the Beaver-style
+            // encrypted triple.
+            let mut rng = seeded(33);
+            let rc_a = MatZ::random(&ring, dims.n, dims.k, &mut rng);
+            let rc_b = MatZ::random(&ring, dims.k, dims.m, &mut rng);
+            let mode = FhgsMode::Diagonal(Packing::TokensFirst);
+            let (pre, flights) =
+                fhgs::client_request(&ring, mode, rc_a, rc_b, &encoder, &encryptor, &mut rng);
+            for flight in &flights {
+                flight.send(&t);
+            }
             // Online: the server works on masked operands only.
             wire::send_matrix(&t, &q_c.sub(&ring, &pre.rc_a));
             wire::send_matrix(&t, &kt_c.sub(&ring, &pre.rc_b));

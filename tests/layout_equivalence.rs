@@ -163,8 +163,14 @@ fn output_chains_and_diagonal_fhgs_run_on_the_selected_key_plan() {
             let encoder = BatchEncoder::new(&ctx_c);
             let encryptor = Encryptor::new(&ctx_c, sk, 823);
             let ring = Ring::new(ctx_c.params().t());
-            let pre =
-                fhgs::client_offline(&ring, mode, dims, &encoder, &encryptor, &t, &mut seeded(824));
+            let mut rng = seeded(824);
+            let rc_a = MatZ::random(&ring, dims.n, dims.k, &mut rng);
+            let rc_b = MatZ::random(&ring, dims.k, dims.m, &mut rng);
+            let (pre, flights) =
+                fhgs::client_request(&ring, mode, rc_a, rc_b, &encoder, &encryptor, &mut rng);
+            for flight in &flights {
+                flight.send(&t);
+            }
             primer_core::wire::send_matrix(&t, &a_c.sub(&ring, &pre.rc_a));
             primer_core::wire::send_matrix(&t, &b_c.sub(&ring, &pre.rc_b));
             fhgs::client_online(&pre, &ring, &ctx_c, &encoder, &encryptor, &t)
