@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Thro
 use primer_core::gcmod::{build_step_circuit, GcStepKind};
 use primer_core::{build_session_circuits, ProtocolVariant, SystemConfig};
 use primer_gc::aes::{Aes128, FIXED_KEY};
-use primer_gc::garble::{evaluate, garble};
+use primer_gc::garble::{evaluate, garble, garble_into};
+use primer_gc::label::GarbleHash;
 use primer_gc::ot::{rot_receiver_offline, rot_sender_offline};
 use primer_gc::{CircuitBuilder, GcNumCfg, OtGroup};
 use primer_math::rng::seeded;
@@ -80,24 +81,6 @@ fn bench_gc(c: &mut Criterion) {
         bch.iter(|| garble(&softmax, &mut rng))
     });
 
-    // The session's GELU step (test-tiny: 4 tokens × d_ff 32) the way
-    // the session runs it: one element's unit, 128 times. The labels stay
-    // the size of the unit; the frame is the whole step's.
-    let gelu = build_step_circuit(&GcStepKind::Gelu { elems: 128 }, &spec, gc);
-    group.throughput(Throughput::Elements(gelu.and_count() as u64));
-    group.bench_function("garble_gelu_128", |bch| {
-        let mut rng = seeded(513);
-        bch.iter(|| garble(&gelu, &mut rng))
-    });
-    let (garbled, enc) = garble(&gelu, &mut seeded(514));
-    let gl: Vec<u128> =
-        (0..gelu.garbler_inputs as usize).map(|i| enc.garbler_label(i, false)).collect();
-    let el: Vec<u128> =
-        (0..gelu.evaluator_inputs as usize).map(|i| enc.evaluator_pair(i).0).collect();
-    group.bench_function("evaluate_gelu_128", |bch| {
-        bch.iter(|| evaluate(&gelu, &garbled, &gl, &el))
-    });
-
     // Every step circuit of a test-tiny Primer-FPC session — one unit per
     // step through the builder, its hashing and its dead-gate pass; both
     // parties pay this once at setup.
@@ -112,6 +95,39 @@ fn bench_gc(c: &mut Criterion) {
     group.throughput(Throughput::Elements(session_ands as u64));
     group.bench_function("build_session_circuits", |bch| {
         bch.iter(|| build_session_circuits(&sys, ProtocolVariant::Fpc, &fixed))
+    });
+
+    // The session's GELU step (test-tiny: 4 tokens × d_ff 32) the way
+    // the session runs it: one element's unit at the session's ring and
+    // 48-bit words, 128 times, garbled two instances per pass. The labels
+    // stay the size of a unit pair; the frame is the whole step's.
+    // `garble_gelu_128` writes a fresh frame each time, so it pays the
+    // page faults of 149 MB; `/recycled` garbles into the previous
+    // frame's buffer, as a session does from its transport's pool — the
+    // difference is the page-fault share.
+    let gelu = build_step_circuit(&GcStepKind::Gelu { elems: 128 }, &sys.pipeline, sys.gc);
+    group.throughput(Throughput::Elements(gelu.and_count() as u64));
+    group.bench_function("garble_gelu_128", |bch| {
+        let mut rng = seeded(513);
+        bch.iter(|| garble(&gelu, &mut rng))
+    });
+    let hash = GarbleHash::new();
+    let mut frame = Vec::new();
+    group.bench_function("garble_gelu_128/recycled", |bch| {
+        let mut rng = seeded(513);
+        bch.iter(|| {
+            let (garbled, _) = garble_into(&gelu, &hash, &mut rng, std::mem::take(&mut frame));
+            frame = garbled.into_frame();
+        })
+    });
+    drop(frame);
+    let (garbled, enc) = garble(&gelu, &mut seeded(514));
+    let gl: Vec<u128> =
+        (0..gelu.garbler_inputs as usize).map(|i| enc.garbler_label(i, false)).collect();
+    let el: Vec<u128> =
+        (0..gelu.evaluator_inputs as usize).map(|i| enc.evaluator_pair(i).0).collect();
+    group.bench_function("evaluate_gelu_128", |bch| {
+        bch.iter(|| evaluate(&gelu, &garbled, &gl, &el))
     });
 
     // 32 768 random OTs (column PRGs, bit-matrix transpose, row hashes)

@@ -13,7 +13,7 @@
 use super::GcMode;
 use primer_gc::ot::{iknp_setup_bytes, IknpReceiver, IknpSender};
 use primer_gc::protocol::{offline_bytes, online_bytes};
-use primer_gc::{Circuit, EvaluatorSession, GarblerSession, OtGroup};
+use primer_gc::{Circuit, EvaluatorSession, FlightError, GarblerSession, OtGroup};
 use primer_math::rng::seeded;
 use primer_net::Transport;
 use rand::rngs::StdRng;
@@ -211,23 +211,41 @@ impl GcServerStep {
         }
     }
 
+    /// [`Self::try_online`] with a malformed client flight as a panic.
+    /// Kept only because perfbench's step probe calls it inside
+    /// `black_box(..)`; every other caller uses `try_online`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed client flight.
+    pub fn online(self, circuit: &Circuit, transport: &dyn Transport, bits: &[bool]) -> Vec<bool> {
+        self.try_online(circuit, transport, bits)
+            .unwrap_or_else(|e| panic!("client sent a bad flight: {e}"))
+    }
+
     /// Online phase: provide the server's input bits; returns outputs.
-    pub fn online(
+    /// Every client flight is length-checked before it is read.
+    ///
+    /// # Errors
+    ///
+    /// [`FlightError`] if a client flight is not the length `circuit`
+    /// calls for.
+    pub fn try_online(
         self,
         circuit: &Circuit,
         transport: &dyn Transport,
         bits: &[bool],
-    ) -> Vec<bool> {
+    ) -> Result<Vec<bool>, FlightError> {
         assert_eq!(bits.len(), circuit.evaluator_inputs as usize, "evaluator input width");
         match self.mode {
             GcMode::Garbled => {
                 self.session.expect("offline ran").online(circuit, transport, bits)
             }
             GcMode::Simulated => {
-                let payload = transport.recv();
-                let g_bits =
-                    unpack_bools(&payload, circuit.garbler_inputs as usize);
-                circuit.eval_plain(&g_bits, bits)
+                let payload =
+                    FlightError::check("GC input", transport.recv(), online_bytes(circuit))?;
+                let g_bits = unpack_bools(&payload, circuit.garbler_inputs as usize);
+                Ok(circuit.eval_plain(&g_bits, bits))
             }
         }
     }
@@ -295,7 +313,7 @@ mod tests {
                 let mut rng = seeded(302);
                 let step =
                     GcServerStep::offline(&c2, mode, &OtGroup::test_768(), &tr, &mut rng);
-                step.online(&c2, &tr, &server_bits)
+                step.try_online(&c2, &tr, &server_bits).expect("well-formed client flights")
             },
         );
         let server_out = bits_to_ring_words(&out_bits, rb);
@@ -405,7 +423,8 @@ mod tests {
                 for _ in 0..steps {
                     let step = GcServerStep::offline_in(&c2, &mut ot, &tr, &mut rng);
                     if online {
-                        step.online(&c2, &tr, &vec![true; c2.evaluator_inputs as usize]);
+                        step.try_online(&c2, &tr, &vec![true; c2.evaluator_inputs as usize])
+                            .expect("well-formed client flights");
                     }
                 }
             },
@@ -449,6 +468,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A simulated GC input flight one byte short is a typed error, not
+    /// an out-of-bounds read while unpacking the client's bits.
+    #[test]
+    fn a_short_simulated_input_flight_is_a_flight_error() {
+        let circuit = build_step_circuit(
+            &GcStepKind::TruncSat { elems: 2 },
+            &spec(),
+            GcNumCfg { width: 32, frac: 12 },
+        );
+        let expected = online_bytes(&circuit);
+        let (c1, c2) = (circuit.clone(), circuit);
+        let mode = GcMode::Simulated;
+        let (_, got, _) = run_two_party(
+            move |tr| {
+                let mut rng = seeded(307);
+                drop(GcClientStep::offline(&c1, mode, &OtGroup::test_768(), &tr, &mut rng));
+                tr.send_owned(vec![0xff; expected - 1]);
+            },
+            move |tr| {
+                let mut rng = seeded(308);
+                let step = GcServerStep::offline(&c2, mode, &OtGroup::test_768(), &tr, &mut rng);
+                step.try_online(&c2, &tr, &vec![false; c2.evaluator_inputs as usize])
+            },
+        );
+        assert_eq!(got, Err(FlightError { what: "GC input", expected, got: expected - 1 }));
     }
 
     #[test]

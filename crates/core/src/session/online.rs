@@ -180,11 +180,14 @@ pub(crate) fn server_online(
     let ServerOnlineInputs { embed_rs, bservers, cls_rs, gc } = inputs;
     let mut gc_sessions = gc.into_iter();
     let mut gc_circuits = core.circuits.iter();
-    let mut run_gc = |t: &dyn MeteredTransport, vals: &[u64]| -> Vec<u64> {
+    // A client flight of the wrong length fails the query as malformed.
+    let mut run_gc = |t: &dyn MeteredTransport, vals: &[u64]| -> Result<Vec<u64>, HeError> {
         let circuit = gc_circuits.next().expect("circuit per GC step");
         let session: GcServerStep = gc_sessions.next().expect("offline session per GC step");
-        let out = session.online(circuit, t, &ring_words_to_bits(vals, rb));
-        bits_to_ring_words(&out, rb)
+        let out = session
+            .try_online(circuit, t, &ring_words_to_bits(vals, rb))
+            .map_err(|e| HeError::Malformed { what: e.what })?;
+        Ok(bits_to_ring_words(&out, rb))
     };
 
     let mut timer = StepTimer::resume(t, *wire_mark);
@@ -204,7 +207,7 @@ pub(crate) fn server_online(
         for m in [&raw_e, &raw_q, &raw_k, &raw_v] {
             vals.extend_from_slice(m.as_slice());
         }
-        let out = run_gc(t, &vals);
+        let out = run_gc(t, &vals)?;
         let nd = n * d;
         u_x = MatZ::from_vec(n, d, out[..nd].to_vec());
         u_q = MatZ::from_vec(n, d, out[nd..2 * nd].to_vec());
@@ -213,7 +216,7 @@ pub(crate) fn server_online(
         timer.absorb(steps, StepCategory::QxK, false);
     } else {
         let raw = chgs::server_online(&ring, &u0, &w.we, &embed_rs[0], &w.lam);
-        let out = run_gc(t, raw.as_slice());
+        let out = run_gc(t, raw.as_slice())?;
         u_x = MatZ::from_vec(n, d, out);
         (u_q, u_k, u_v) = (u_x.clone(), u_x.clone(), u_x.clone()); // placeholders
         timer.absorb(steps, StepCategory::Embed, false);
@@ -228,7 +231,7 @@ pub(crate) fn server_online(
             for m in [&raw_q, &raw_k, &raw_v] {
                 vals.extend_from_slice(m.as_slice());
             }
-            let out = run_gc(t, &vals);
+            let out = run_gc(t, &vals)?;
             let nd = n * d;
             u_q = MatZ::from_vec(n, d, out[..nd].to_vec());
             u_k = MatZ::from_vec(n, d, out[nd..2 * nd].to_vec());
@@ -253,7 +256,7 @@ pub(crate) fn server_online(
             score_vals.extend_from_slice(share.as_slice());
         }
         timer.absorb(steps, StepCategory::QxK, false);
-        let probs_out = run_gc(t, &score_vals);
+        let probs_out = run_gc(t, &score_vals)?;
         let mut u_probs: Vec<MatZ> = Vec::with_capacity(heads);
         for h in 0..heads {
             u_probs.push(MatZ::from_vec(n, n, probs_out[h * n * n..(h + 1) * n * n].to_vec()));
@@ -275,7 +278,7 @@ pub(crate) fn server_online(
             );
             av_vals.extend_from_slice(share.as_slice());
         }
-        let av_out = run_gc(t, &av_vals);
+        let av_out = run_gc(t, &av_vals)?;
         // Reassemble per-head segments into (n × d).
         let mut u_av = MatZ::zeros(n, d);
         for h in 0..heads {
@@ -291,15 +294,15 @@ pub(crate) fn server_online(
         let raw_attn = hgs::server_online(&ring, &u_av, &blk.wo, &bs.wo_rs);
         let mut ln1_vals = raw_attn.as_slice().to_vec();
         ln1_vals.extend_from_slice(u_x.as_slice());
-        let u_ln1 = MatZ::from_vec(n, d, run_gc(t, &ln1_vals));
+        let u_ln1 = MatZ::from_vec(n, d, run_gc(t, &ln1_vals)?);
         // W1 → GELU.
         let raw_ff1 = hgs::server_online(&ring, &u_ln1, &blk.w1, &bs.w1_rs);
-        let u_gelu = MatZ::from_vec(n, dff, run_gc(t, raw_ff1.as_slice()));
+        let u_gelu = MatZ::from_vec(n, dff, run_gc(t, raw_ff1.as_slice())?);
         // W2 → LN2.
         let raw_ff2 = hgs::server_online(&ring, &u_gelu, &blk.w2, &bs.w2_rs);
         let mut ln2_vals = raw_ff2.as_slice().to_vec();
         ln2_vals.extend_from_slice(u_ln1.as_slice());
-        u_x = MatZ::from_vec(n, d, run_gc(t, &ln2_vals));
+        u_x = MatZ::from_vec(n, d, run_gc(t, &ln2_vals)?);
         timer.absorb(steps, StepCategory::Others, false);
     }
 

@@ -31,8 +31,11 @@
 //!
 //! Garbling issues four blocks per AND gate and evaluation two, so the
 //! software body alone costs ~600 / ~300 ns per gate — it was nearly all
-//! of the real-GC path's 1032 / 315 ns per AND before the hardware body
-//! (now 30 / 22 ns on a cache-resident circuit).
+//! of the real-GC path's 1032 / 315 ns per AND before the hardware body.
+//! On the same host with AES-NI, the six step circuits of a test-tiny
+//! Fpc session (48-bit words, two instances per hash batch, frames
+//! garbled into recycled buffers) take ≈ 42 / 25 ns per AND garbled /
+//! evaluated, and a one-instance 32 × 32 multiplier ≈ 48 / 36 ns.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [

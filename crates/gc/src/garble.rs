@@ -4,6 +4,7 @@ use crate::circuit::{Circuit, Gate, OutBit};
 use crate::label::{color, sample_delta, sample_label, GarbleHash, Label};
 use rand::Rng;
 use std::fmt;
+use std::mem::MaybeUninit;
 
 /// Frame header: the AND-gate count and the output count, each a
 /// little-endian `u64`.
@@ -139,6 +140,66 @@ impl InputEncoding {
     }
 }
 
+/// Lane counts a pass runs at: [`Pass<2>`] for each pair of instances,
+/// [`Pass<1>`] for an odd last one. Instances are independent, so one
+/// pass walks the unit's gates once for all its lanes and every AND
+/// issues a single hash batch across them — the AES rounds of one lane
+/// hide behind the other's instead of each batch waiting on the gate
+/// before it.
+trait Lanes<const L: usize> {
+    /// The four garbling hashes of one AND gate on every lane.
+    fn garble_hashes(hash: &GarbleHash, x: [[(Label, u64); 4]; L]) -> [[Label; 4]; L];
+    /// The two evaluation hashes of one AND gate on every lane.
+    fn eval_hashes(hash: &GarbleHash, x: [[(Label, u64); 2]; L]) -> [[Label; 2]; L];
+}
+
+/// A pass over `L` instances of a unit.
+struct Pass<const L: usize>;
+
+impl Lanes<1> for Pass<1> {
+    #[inline(always)]
+    fn garble_hashes(hash: &GarbleHash, [x]: [[(Label, u64); 4]; 1]) -> [[Label; 4]; 1] {
+        [hash.hash_batch(x)]
+    }
+
+    #[inline(always)]
+    fn eval_hashes(hash: &GarbleHash, [x]: [[(Label, u64); 2]; 1]) -> [[Label; 2]; 1] {
+        [hash.hash_batch(x)]
+    }
+}
+
+impl Lanes<2> for Pass<2> {
+    #[inline(always)]
+    fn garble_hashes(hash: &GarbleHash, [x, y]: [[(Label, u64); 4]; 2]) -> [[Label; 4]; 2] {
+        let [a0, a1, a2, a3, b0, b1, b2, b3] =
+            hash.hash_batch([x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3]]);
+        [[a0, a1, a2, a3], [b0, b1, b2, b3]]
+    }
+
+    #[inline(always)]
+    fn eval_hashes(hash: &GarbleHash, [x, y]: [[(Label, u64); 2]; 2]) -> [[Label; 2]; 2] {
+        let [a0, a1, b0, b1] = hash.hash_batch([x[0], x[1], y[0], y[1]]);
+        [[a0, a1], [b0, b1]]
+    }
+}
+
+/// Fills lane `l` of a pass's input wires with instance `r`'s labels,
+/// through a unit-input-sized scratch array.
+#[inline(always)]
+fn gather_lane<const L: usize>(
+    circuit: &Circuit,
+    r: usize,
+    l: usize,
+    (garbler, evaluator): (&[Label], &[Label]),
+    scratch: &mut [Label],
+    wires: &mut [[Label; L]],
+) {
+    circuit.gather_inputs(r, garbler, evaluator, scratch);
+    for (w, &x) in wires.iter_mut().zip(scratch.iter()) {
+        w[l] = x;
+    }
+}
+
 /// Garbles a circuit; returns the material for the evaluator and the
 /// garbler's input encoding secrets.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, InputEncoding) {
@@ -151,64 +212,143 @@ pub fn garble_with<R: Rng + ?Sized>(
     hash: &GarbleHash,
     rng: &mut R,
 ) -> (GarbledCircuit, InputEncoding) {
+    garble_into(circuit, hash, rng, Vec::new())
+}
+
+/// [`garble_with`] into `buf`'s allocation — a recycled frame (see
+/// `primer_net::Transport::buffer`) keeps its pages, so the garbler does
+/// not fault in fresh memory for every frame. Whatever `buf` holds is
+/// discarded, not cleared: every byte of the frame is written before it
+/// is handed out. Byte-identical to garbling into a fresh vector.
+pub fn garble_into<R: Rng + ?Sized>(
+    circuit: &Circuit,
+    hash: &GarbleHash,
+    rng: &mut R,
+    mut buf: Vec<u8>,
+) -> (GarbledCircuit, InputEncoding) {
     let delta = sample_delta(rng);
     let mut sample = |n: u32| (0..n).map(|_| sample_label(rng)).collect::<Vec<Label>>();
     let garbler_zero = sample(circuit.garbler_inputs);
     let evaluator_zero = sample(circuit.evaluator_inputs);
 
-    let mut frame = Vec::with_capacity(frame_len(circuit));
-    frame.extend_from_slice(&(circuit.and_count() as u64).to_le_bytes());
-    frame.extend_from_slice(&(circuit.num_outputs() as u64).to_le_bytes());
-    let mut decode = Vec::with_capacity(circuit.num_outputs());
-    let first = circuit.unit_inputs();
-    // One unit's worth of zero-labels, overwritten instance after
-    // instance; Δ and the tweak counter run across all of them.
-    let mut zero = vec![0 as Label; circuit.unit_wires()];
-    let mut tweak: u64 = 0;
-    // The whole gate loop runs inside the cipher's tier, so each gate's
-    // hash batch inlines here rather than being a call per gate.
+    let len = frame_len(circuit);
+    buf.clear();
+    buf.reserve(len);
+    let frame = &mut buf.spare_capacity_mut()[..len];
+    let (header, body) = frame.split_at_mut(HEADER_BYTES);
+    header[..8].write_copy_of_slice(&(circuit.and_count() as u64).to_le_bytes());
+    header[8..].write_copy_of_slice(&(circuit.num_outputs() as u64).to_le_bytes());
+    let (tables, decode) = body.split_at_mut(TABLE_BYTES * circuit.and_count());
+    let inputs = (&garbler_zero[..], &evaluator_zero[..]);
+    let mut scratch = vec![0 as Label; circuit.unit_inputs()];
+    let (repeat, wires) = (circuit.repeat(), circuit.unit_wires());
+    // Every pass runs inside the cipher's tier, so each gate's hash batch
+    // inlines here rather than being a call per gate.
     hash.in_tier(|| {
-        for r in 0..circuit.repeat() {
-            circuit.gather_inputs(r, &garbler_zero, &evaluator_zero, &mut zero);
-            for (k, gate) in circuit.unit_gates().iter().enumerate() {
-                zero[first + k] = match *gate {
-                    Gate::Xor(a, b) => zero[a as usize] ^ zero[b as usize],
-                    Gate::Inv(a) => zero[a as usize] ^ delta,
-                    Gate::And(a, b) => {
-                        let (a0, b0) = (zero[a as usize], zero[b as usize]);
-                        let pa = color(a0);
-                        let pb = color(b0);
-                        let j0 = tweak;
-                        let j1 = tweak + 1;
-                        tweak += 2;
-                        let [ha0, ha1, hb0, hb1] = hash.hash_batch([
-                            (a0, j0),
-                            (a0 ^ delta, j0),
-                            (b0, j1),
-                            (b0 ^ delta, j1),
-                        ]);
-                        // Garbler half gate.
-                        let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
-                        let wg = ha0 ^ if pa { tg } else { 0 };
-                        // Evaluator half gate.
-                        let te = hb0 ^ hb1 ^ a0;
-                        let we = hb0 ^ if pb { te ^ a0 } else { 0 };
-                        frame.extend_from_slice(&tg.to_le_bytes());
-                        frame.extend_from_slice(&te.to_le_bytes());
-                        wg ^ we
-                    }
-                };
+        if repeat >= 2 {
+            let pair = &mut vec![[0 as Label; 2]; wires];
+            for r in (0..repeat - 1).step_by(2) {
+                garble_pass(circuit, hash, delta, r, inputs, &mut scratch, pair, tables, decode);
             }
-            decode.extend(circuit.unit_outputs().iter().map(|o| match *o {
-                OutBit::Wire(w) => u8::from(color(zero[w as usize])),
-                OutBit::Const(c) => 2 + u8::from(c),
-            }));
+        }
+        if repeat % 2 == 1 {
+            let single = &mut vec![[0 as Label; 1]; wires];
+            let r = repeat - 1;
+            garble_pass(circuit, hash, delta, r, inputs, &mut scratch, single, tables, decode);
         }
     });
-    frame.extend_from_slice(&decode);
+    // SAFETY: the header is written above, and every pass writes each of
+    // its instances' table and decode regions in full — `garble_pass`
+    // asserts it wrote one table per unit AND gate on every lane, and the
+    // passes cover instances `0..repeat` once each. So `frame[..len]` is
+    // initialized.
+    unsafe { buf.set_len(len) };
 
     let encoding = InputEncoding { garbler_zero, evaluator_zero, delta };
-    (GarbledCircuit { frame }, encoding)
+    (GarbledCircuit { frame: buf }, encoding)
+}
+
+/// Garbles instances `r..r+L` in one walk of the unit's gates. AND `j`
+/// of instance `r + l` hashes under tweaks `2((r+l)·unit_ands + j)` and
+/// `+1` and writes its `[tg, te]` to table `j` of lane `l`'s region of
+/// `tables` — the instance-by-instance layout of a one-lane garbling.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn garble_pass<const L: usize>(
+    circuit: &Circuit,
+    hash: &GarbleHash,
+    delta: Label,
+    r: usize,
+    inputs: (&[Label], &[Label]),
+    scratch: &mut [Label],
+    zero: &mut [[Label; L]],
+    tables: &mut [MaybeUninit<u8>],
+    decode: &mut [MaybeUninit<u8>],
+) where
+    Pass<L>: Lanes<L>,
+{
+    let unit_ands = circuit.unit_and_count();
+    let outputs = circuit.unit_outputs();
+    let first = circuit.unit_inputs();
+    for l in 0..L {
+        gather_lane(circuit, r + l, l, inputs, scratch, zero);
+    }
+    let inst = TABLE_BYTES * unit_ands;
+    let (tables, _) = tables[r * inst..(r + L) * inst].as_chunks_mut::<TABLE_BYTES>();
+    let mut j = 0usize;
+    for (k, gate) in circuit.unit_gates().iter().enumerate() {
+        let mut w = [0 as Label; L];
+        match *gate {
+            Gate::Xor(a, b) => {
+                let (a, b) = (zero[a as usize], zero[b as usize]);
+                for l in 0..L {
+                    w[l] = a[l] ^ b[l];
+                }
+            }
+            Gate::Inv(a) => {
+                let a = zero[a as usize];
+                for l in 0..L {
+                    w[l] = a[l] ^ delta;
+                }
+            }
+            Gate::And(a, b) => {
+                let (a0, b0) = (zero[a as usize], zero[b as usize]);
+                let mut x = [[(0 as Label, 0u64); 4]; L];
+                for l in 0..L {
+                    let j0 = 2 * ((r + l) * unit_ands + j) as u64;
+                    let j1 = j0 + 1;
+                    x[l] = [(a0[l], j0), (a0[l] ^ delta, j0), (b0[l], j1), (b0[l] ^ delta, j1)];
+                }
+                let h = Pass::<L>::garble_hashes(hash, x);
+                for l in 0..L {
+                    let [ha0, ha1, hb0, hb1] = h[l];
+                    let (pa, pb) = (color(a0[l]), color(b0[l]));
+                    // Garbler half gate.
+                    let tg = ha0 ^ ha1 ^ if pb { delta } else { 0 };
+                    let wg = ha0 ^ if pa { tg } else { 0 };
+                    // Evaluator half gate.
+                    let te = hb0 ^ hb1 ^ a0[l];
+                    let we = hb0 ^ if pb { te ^ a0[l] } else { 0 };
+                    let table = &mut tables[l * unit_ands + j];
+                    table[..16].write_copy_of_slice(&tg.to_le_bytes());
+                    table[16..].write_copy_of_slice(&te.to_le_bytes());
+                    w[l] = wg ^ we;
+                }
+                j += 1;
+            }
+        }
+        zero[first + k] = w;
+    }
+    assert_eq!(j, unit_ands, "a table region left unwritten");
+    let decode = &mut decode[r * outputs.len()..(r + L) * outputs.len()];
+    for (l, lane) in decode.chunks_exact_mut(outputs.len().max(1)).enumerate() {
+        for (d, o) in lane.iter_mut().zip(outputs) {
+            d.write(match *o {
+                OutBit::Wire(w) => u8::from(color(zero[w as usize][l])),
+                OutBit::Const(c) => 2 + u8::from(c),
+            });
+        }
+    }
 }
 
 /// Evaluates a garbled circuit given one label per input wire.
@@ -238,49 +378,97 @@ pub fn evaluate_with(
     assert_eq!(garbler_labels.len(), circuit.garbler_inputs as usize, "garbler labels");
     assert_eq!(evaluator_labels.len(), circuit.evaluator_inputs as usize, "evaluator labels");
     // The one check the table reads below rest on: with the frame at this
-    // length, `chunks_exact` yields exactly one table per AND gate.
+    // length, every instance's region holds one table per unit AND gate.
     assert_eq!(garbled.frame.len(), frame_len(circuit), "garbled frame is for another circuit");
     let (tables, decode) =
         garbled.frame[HEADER_BYTES..].split_at(TABLE_BYTES * circuit.and_count());
-    let mut tables = tables.chunks_exact(TABLE_BYTES);
-    let mut decode = decode.iter();
-    let first = circuit.unit_inputs();
-    let mut wires = vec![0 as Label; circuit.unit_wires()];
+    let inputs = (garbler_labels, evaluator_labels);
+    let mut scratch = vec![0 as Label; circuit.unit_inputs()];
     let mut out = Vec::with_capacity(circuit.num_outputs());
-
-    let mut tweak: u64 = 0;
+    let (repeat, wires) = (circuit.repeat(), circuit.unit_wires());
     hash.in_tier(|| {
-        for r in 0..circuit.repeat() {
-            circuit.gather_inputs(r, garbler_labels, evaluator_labels, &mut wires);
-            for (k, gate) in circuit.unit_gates().iter().enumerate() {
-                wires[first + k] = match *gate {
-                    Gate::Xor(a, b) => wires[a as usize] ^ wires[b as usize],
-                    Gate::Inv(a) => wires[a as usize],
-                    Gate::And(a, b) => {
-                        let (la, lb) = (wires[a as usize], wires[b as usize]);
-                        let sa = color(la);
-                        let sb = color(lb);
-                        let (tg, te) =
-                            tables.next().expect("one table per AND gate").split_at(16);
-                        let tg = u128::from_le_bytes(tg.try_into().expect("16-byte ciphertext"));
-                        let te = u128::from_le_bytes(te.try_into().expect("16-byte ciphertext"));
-                        let j0 = tweak;
-                        let j1 = tweak + 1;
-                        tweak += 2;
-                        let [ha, hb] = hash.hash_batch([(la, j0), (lb, j1)]);
-                        let wg = ha ^ if sa { tg } else { 0 };
-                        let we = hb ^ if sb { te ^ la } else { 0 };
-                        wg ^ we
-                    }
-                };
+        if repeat >= 2 {
+            let pair = &mut vec![[0 as Label; 2]; wires];
+            for r in (0..repeat - 1).step_by(2) {
+                let out = &mut out;
+                evaluate_pass(circuit, hash, r, inputs, &mut scratch, pair, tables, decode, out);
             }
-            out.extend(circuit.unit_outputs().iter().zip(&mut decode).map(|(o, &d)| match *o {
-                OutBit::Wire(w) => color(wires[w as usize]) ^ (d & 1 == 1),
-                OutBit::Const(c) => c,
-            }));
+        }
+        if repeat % 2 == 1 {
+            let single = &mut vec![[0 as Label; 1]; wires];
+            let r = repeat - 1;
+            evaluate_pass(circuit, hash, r, inputs, &mut scratch, single, tables, decode, &mut out);
         }
     });
     out
+}
+
+/// Evaluates instances `r..r+L` in one walk of the unit's gates — the
+/// mirror of [`garble_pass`]: same tweaks, same table regions. Pushes
+/// the lanes' decoded outputs in instance order.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn evaluate_pass<const L: usize>(
+    circuit: &Circuit,
+    hash: &GarbleHash,
+    r: usize,
+    inputs: (&[Label], &[Label]),
+    scratch: &mut [Label],
+    wires: &mut [[Label; L]],
+    tables: &[u8],
+    decode: &[u8],
+    out: &mut Vec<bool>,
+) where
+    Pass<L>: Lanes<L>,
+{
+    let unit_ands = circuit.unit_and_count();
+    let outputs = circuit.unit_outputs();
+    let first = circuit.unit_inputs();
+    for l in 0..L {
+        gather_lane(circuit, r + l, l, inputs, scratch, wires);
+    }
+    let inst = TABLE_BYTES * unit_ands;
+    let (tables, _) = tables[r * inst..(r + L) * inst].as_chunks::<TABLE_BYTES>();
+    let mut j = 0usize;
+    for (k, gate) in circuit.unit_gates().iter().enumerate() {
+        let mut w = [0 as Label; L];
+        match *gate {
+            Gate::Xor(a, b) => {
+                let (a, b) = (wires[a as usize], wires[b as usize]);
+                for l in 0..L {
+                    w[l] = a[l] ^ b[l];
+                }
+            }
+            Gate::Inv(a) => w = wires[a as usize],
+            Gate::And(a, b) => {
+                let (la, lb) = (wires[a as usize], wires[b as usize]);
+                let mut x = [[(0 as Label, 0u64); 2]; L];
+                for l in 0..L {
+                    let tweak = 2 * ((r + l) * unit_ands + j) as u64;
+                    x[l] = [(la[l], tweak), (lb[l], tweak + 1)];
+                }
+                let h = Pass::<L>::eval_hashes(hash, x);
+                for l in 0..L {
+                    let table = &tables[l * unit_ands + j];
+                    let tg = u128::from_le_bytes(table[..16].try_into().expect("16 bytes"));
+                    let te = u128::from_le_bytes(table[16..].try_into().expect("16 bytes"));
+                    let [ha, hb] = h[l];
+                    let wg = ha ^ if color(la[l]) { tg } else { 0 };
+                    let we = hb ^ if color(lb[l]) { te ^ la[l] } else { 0 };
+                    w[l] = wg ^ we;
+                }
+                j += 1;
+            }
+        }
+        wires[first + k] = w;
+    }
+    let decode = &decode[r * outputs.len()..(r + L) * outputs.len()];
+    for (l, lane) in decode.chunks_exact(outputs.len().max(1)).enumerate() {
+        out.extend(outputs.iter().zip(lane).map(|(o, &d)| match *o {
+            OutBit::Wire(w) => color(wires[w as usize][l]) ^ (d & 1 == 1),
+            OutBit::Const(c) => c,
+        }));
+    }
 }
 
 #[cfg(test)]
@@ -473,6 +661,28 @@ mod tests {
         assert_eq!(seen.len(), 5);
         let (gl, el) = labels(&enc, &gi, &ei);
         assert_eq!(evaluate(&circuit, &garbled, &gl, &el), circuit.eval_plain(&gi, &ei));
+    }
+
+    /// A recycled buffer — stale bytes, more room than the frame needs —
+    /// garbles to the frame a fresh vector gets, at every lane shape: one
+    /// instance, a pair, and pairs plus an odd last instance.
+    #[test]
+    fn garbling_into_a_dirty_buffer_matches_a_fresh_one() {
+        for repeat in [1, 2, 5] {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_input(6);
+            let y = b.evaluator_input(6);
+            let p = b.mul(&x, &y);
+            let circuit = b.build(&p).repeated(repeat, &[6], &[6]);
+            let hash = GarbleHash::new();
+            let (fresh, enc) = garble_with(&circuit, &hash, &mut seeded(107));
+            let dirty = vec![0xAA_u8; 2 * frame_len(&circuit) + 7];
+            let ptr = dirty.as_ptr();
+            let (reused, enc_reused) = garble_into(&circuit, &hash, &mut seeded(107), dirty);
+            assert!(fresh.as_bytes() == reused.as_bytes(), "repeat {repeat}: frames differ");
+            assert_eq!(enc, enc_reused, "repeat {repeat}");
+            assert_eq!(reused.as_bytes().as_ptr(), ptr, "repeat {repeat}: not garbled in place");
+        }
     }
 
     /// `evaluate` refuses a garbling of a circuit of another shape.

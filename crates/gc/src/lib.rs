@@ -48,4 +48,4 @@ pub use builder::{Bit, CircuitBuilder, Word};
 pub use circuit::Circuit;
 pub use nonlinear::GcNumCfg;
 pub use ot::OtGroup;
-pub use protocol::{EvaluatorSession, GarblerSession};
+pub use protocol::{EvaluatorSession, FlightError, GarblerSession};

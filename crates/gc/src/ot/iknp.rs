@@ -16,6 +16,7 @@
 use crate::aes::Aes128;
 use crate::label::Label;
 use crate::ot::base::{base_ot_bytes, base_ot_receive, base_ot_send, OtGroup};
+use crate::protocol::FlightError;
 use primer_net::Transport;
 use rand::Rng;
 
@@ -308,10 +309,19 @@ impl RotReceiver {
 
     /// Online derandomization: learns `m_{choices[i]}` for each index.
     ///
+    /// # Errors
+    ///
+    /// [`FlightError`] if the sender's corrections are not 32 bytes per
+    /// choice.
+    ///
     /// # Panics
     ///
     /// Panics if fewer precomputed OTs remain than choices.
-    pub fn receive_chosen(&mut self, transport: &dyn Transport, choices: &[bool]) -> Vec<Label> {
+    pub fn receive_chosen(
+        &mut self,
+        transport: &dyn Transport,
+        choices: &[bool],
+    ) -> Result<Vec<Label>, FlightError> {
         assert!(self.remaining() >= choices.len(), "ROTs exhausted");
         let mut flips = vec![0u8; choices.len().div_ceil(8)];
         for (k, &c) in choices.iter().enumerate() {
@@ -321,7 +331,7 @@ impl RotReceiver {
             }
         }
         transport.send_owned(flips);
-        let payload = transport.recv();
+        let payload = FlightError::check("OT correction", transport.recv(), 32 * choices.len())?;
         let out = choices
             .iter()
             .enumerate()
@@ -339,7 +349,7 @@ impl RotReceiver {
             })
             .collect();
         self.used += choices.len();
-        out
+        Ok(out)
     }
 }
 
@@ -386,6 +396,25 @@ mod tests {
         assert_eq!(window[..], long[5..9]);
     }
 
+    /// Corrections one block short of the choices end the transfer with
+    /// a typed error before any of them is read.
+    #[test]
+    fn short_corrections_are_a_flight_error() {
+        let (got, _, _) = run_two_party(
+            move |t| {
+                let mut rot =
+                    rot_receiver_offline(&OtGroup::test_768(), &t, 4, &mut seeded(126));
+                rot.receive_chosen(&t, &[true, false, true])
+            },
+            move |t| {
+                drop(rot_sender_offline(&OtGroup::test_768(), &t, 4, &mut seeded(127)));
+                let _flips = t.recv();
+                t.send(&[0u8; 32 * 3 - 16]);
+            },
+        );
+        assert_eq!(got, Err(FlightError { what: "OT correction", expected: 96, got: 80 }));
+    }
+
     #[test]
     fn extension_transfers_many_chosen_messages() {
         let count = 300usize;
@@ -398,7 +427,7 @@ mod tests {
             move |t| {
                 let mut rot =
                     rot_receiver_offline(&OtGroup::test_768(), &t, count, &mut seeded(120));
-                rot.receive_chosen(&t, &chs)
+                rot.receive_chosen(&t, &chs).expect("well-formed corrections")
             },
             move |t| {
                 let mut rot =
@@ -515,8 +544,8 @@ mod tests {
             move |t| {
                 let mut rot =
                     rot_receiver_offline(&OtGroup::test_768(), &t, 10, &mut seeded(122));
-                let mut all = rot.receive_chosen(&t, &[true, false]);
-                all.extend(rot.receive_chosen(&t, &[true]));
+                let mut all = rot.receive_chosen(&t, &[true, false]).expect("corrections");
+                all.extend(rot.receive_chosen(&t, &[true]).expect("corrections"));
                 all
             },
             move |t| {

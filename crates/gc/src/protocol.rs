@@ -12,13 +12,51 @@
 //!          computations online" property for the GC phase.
 
 use crate::circuit::Circuit;
-use crate::garble::{evaluate, frame_len, garble, GarbledCircuit, InputEncoding};
-use crate::label::Label;
+use crate::garble::{evaluate, frame_len, garble_into, GarbledCircuit, InputEncoding};
+use crate::label::{GarbleHash, Label};
 use crate::ot::{
     rot_extension_bytes, rot_online_bytes, IknpReceiver, IknpSender, RotReceiver, RotSender,
 };
 use primer_net::Transport;
 use rand::Rng;
+use std::fmt;
+
+/// An online flight that is not the length its circuit calls for. The
+/// evaluator checks every flight before it reads one byte of it, so a
+/// short or over-long flight from a faulty or hostile garbler ends the
+/// step with this error, not a panic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlightError {
+    /// Which flight.
+    pub what: &'static str,
+    /// Bytes the circuit calls for.
+    pub expected: usize,
+    /// Bytes received.
+    pub got: usize,
+}
+
+impl fmt::Display for FlightError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} flight is {} bytes, circuit calls for {}", self.what, self.got, self.expected)
+    }
+}
+
+impl std::error::Error for FlightError {}
+
+impl FlightError {
+    /// `Ok(bytes)` if the `what` flight is `expected` bytes long.
+    ///
+    /// # Errors
+    ///
+    /// The mismatch, as a [`FlightError`].
+    pub fn check(what: &'static str, bytes: Vec<u8>, expected: usize) -> Result<Vec<u8>, Self> {
+        if bytes.len() == expected {
+            Ok(bytes)
+        } else {
+            Err(Self { what, expected, got: bytes.len() })
+        }
+    }
+}
 
 /// Bytes the offline phase of `circuit` ships, both directions together:
 /// the garbled frame and the extension window for the evaluator's inputs
@@ -41,7 +79,8 @@ pub struct GarblerSession {
 }
 
 impl GarblerSession {
-    /// Offline phase: garbles `circuit`, ships tables + output decode
+    /// Offline phase: garbles `circuit` into a buffer from the transport
+    /// (a recycled frame where it has one), ships tables + output decode
     /// info, and takes the next window of the session's extension `ot`
     /// as random OTs for the evaluator's inputs.
     pub fn offline<R: Rng + ?Sized>(
@@ -50,7 +89,8 @@ impl GarblerSession {
         transport: &dyn Transport,
         rng: &mut R,
     ) -> Self {
-        let (garbled, encoding) = garble(circuit, rng);
+        let buf = transport.buffer(frame_len(circuit));
+        let (garbled, encoding) = garble_into(circuit, &GarbleHash::new(), rng, buf);
         transport.send_owned(garbled.into_frame());
         let rots = ot.extend(transport, circuit.evaluator_inputs as usize);
         Self { encoding, rots }
@@ -102,20 +142,28 @@ impl EvaluatorSession {
 
     /// Online phase: obtains labels and evaluates; returns the decoded
     /// output bits (the evaluator learns the output, per the protocol).
+    /// The evaluated frame goes back to the transport for reuse.
+    ///
+    /// # Errors
+    ///
+    /// [`FlightError`] if the garbler's label flight or its OT
+    /// derandomization flight is not the length `circuit` calls for.
     pub fn online(
         mut self,
         circuit: &Circuit,
         transport: &dyn Transport,
         evaluator_inputs: &[bool],
-    ) -> Vec<bool> {
-        let garbler_bytes = transport.recv();
+    ) -> Result<Vec<bool>, FlightError> {
+        let expected = 16 * circuit.garbler_inputs as usize;
+        let garbler_bytes = FlightError::check("garbler label", transport.recv(), expected)?;
         let garbler_labels: Vec<Label> = garbler_bytes
-            .chunks(16)
-            .map(|c| u128::from_le_bytes(c.try_into().expect("16-byte label")))
+            .chunks_exact(16)
+            .map(|c| u128::from_le_bytes(c.try_into().expect("16-byte chunk")))
             .collect();
-        assert_eq!(garbler_labels.len(), circuit.garbler_inputs as usize, "garbler labels");
-        let my_labels = self.rots.receive_chosen(transport, evaluator_inputs);
-        evaluate(circuit, &self.garbled, &garbler_labels, &my_labels)
+        let my_labels = self.rots.receive_chosen(transport, evaluator_inputs)?;
+        let out = evaluate(circuit, &self.garbled, &garbler_labels, &my_labels);
+        transport.recycle(self.garbled.into_frame());
+        Ok(out)
     }
 }
 
@@ -151,11 +199,40 @@ mod tests {
                 let mut rng = seeded(131);
                 let mut ot = IknpReceiver::setup(&OtGroup::test_768(), &t, &mut rng);
                 let sess = EvaluatorSession::offline(&circuit_s, &mut ot, &t, &mut rng);
-                sess.online(&circuit_s, &t, &to_bits(17, width))
+                sess.online(&circuit_s, &t, &to_bits(17, width)).expect("well-formed flights")
             },
         );
         assert_eq!(from_bits_signed(&result), -23 * 17);
         assert!(meter.total_bytes() > 0);
+    }
+
+    /// A garbler label flight one label short ends the evaluator's online
+    /// phase with a typed error, not a panic on the chunking.
+    #[test]
+    fn a_short_label_flight_is_a_flight_error() {
+        let mut b = CircuitBuilder::new();
+        let x = b.garbler_input(4);
+        let y = b.evaluator_input(4);
+        let s = b.add(&x, &y);
+        let circuit = b.build(&s);
+        let (c1, c2) = (circuit.clone(), circuit);
+        let (_, got, _) = run_two_party(
+            move |t| {
+                let mut rng = seeded(134);
+                let mut ot = IknpSender::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = GarblerSession::offline(&c1, &mut ot, &t, &mut rng);
+                let label = |i| sess.encoding.garbler_label(i, false).to_le_bytes();
+                let labels: Vec<u8> = (0..3).flat_map(label).collect();
+                t.send_owned(labels);
+            },
+            move |t| {
+                let mut rng = seeded(135);
+                let mut ot = IknpReceiver::setup(&OtGroup::test_768(), &t, &mut rng);
+                let sess = EvaluatorSession::offline(&c2, &mut ot, &t, &mut rng);
+                sess.online(&c2, &t, &to_bits(4, 4))
+            },
+        );
+        assert_eq!(got, Err(FlightError { what: "garbler label", expected: 64, got: 48 }));
     }
 
     /// The online phase must be cheap: only 4 flights (labels, flips,
@@ -181,7 +258,7 @@ mod tests {
                 let mut ot = IknpReceiver::setup(&OtGroup::test_768(), &t, &mut rng);
                 let sess = EvaluatorSession::offline(&c2, &mut ot, &t, &mut rng);
                 let before = t.meter().total_messages();
-                let out = sess.online(&c2, &t, &to_bits(4, 4));
+                let out = sess.online(&c2, &t, &to_bits(4, 4)).expect("well-formed flights");
                 let after = t.meter().total_messages();
                 (out, after - before)
             },

@@ -3,7 +3,50 @@
 use crate::metering::Meter;
 use crate::transport::{MeteredTransport, Transport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Smallest buffer the frame pool keeps: below it an allocation is cheap
+/// and its pages few. Label and OT flights stay under it; garbled frames
+/// of any size that matters are over it.
+const RECYCLE_MIN: usize = 1 << 20;
+
+/// Frames handed back by either endpoint of one in-memory link, for the
+/// next [`Transport::buffer`] on either. It holds only buffers of at
+/// least [`RECYCLE_MIN`] bytes, and never more than the link already had
+/// in flight: a request takes the smallest buffer that fits, and a miss
+/// frees the largest one that does not before allocating.
+#[derive(Debug, Default)]
+struct FramePool {
+    bufs: Mutex<Vec<Vec<u8>>>,
+}
+
+impl FramePool {
+    fn take(&self, len: usize) -> Vec<u8> {
+        if len < RECYCLE_MIN {
+            return Vec::with_capacity(len);
+        }
+        let mut bufs = self.bufs.lock().expect("frame pool mutex poisoned");
+        let best = (0..bufs.len())
+            .filter(|&i| bufs[i].capacity() >= len)
+            .min_by_key(|&i| bufs[i].capacity());
+        if let Some(i) = best {
+            let mut buf = bufs.swap_remove(i);
+            buf.clear();
+            return buf;
+        }
+        if let Some(i) = (0..bufs.len()).max_by_key(|&i| bufs[i].capacity()) {
+            drop(bufs.swap_remove(i));
+        }
+        drop(bufs);
+        Vec::with_capacity(len)
+    }
+
+    fn put(&self, buf: Vec<u8>) {
+        if buf.capacity() >= RECYCLE_MIN {
+            self.bufs.lock().expect("frame pool mutex poisoned").push(buf);
+        }
+    }
+}
 
 /// One endpoint of an in-memory duplex channel.
 #[derive(Debug)]
@@ -12,12 +55,17 @@ pub struct MemTransport {
     rx: Receiver<Vec<u8>>,
     meter: Arc<Meter>,
     is_client: bool,
+    /// Shared with the other endpoint: what the evaluator recycles, the
+    /// garbler garbles into next.
+    pool: Arc<FramePool>,
 }
 
 impl MemTransport {
-    /// Creates a connected (client, server) endpoint pair sharing a meter.
+    /// Creates a connected (client, server) endpoint pair sharing a meter
+    /// and a pool of recycled frames.
     pub fn pair() -> (MemTransport, MemTransport, Arc<Meter>) {
         let meter = Meter::new();
+        let pool = Arc::new(FramePool::default());
         let (tx_c2s, rx_c2s) = unbounded();
         let (tx_s2c, rx_s2c) = unbounded();
         let client = MemTransport {
@@ -25,12 +73,14 @@ impl MemTransport {
             rx: rx_s2c,
             meter: Arc::clone(&meter),
             is_client: true,
+            pool: Arc::clone(&pool),
         };
         let server = MemTransport {
             tx: tx_s2c,
             rx: rx_c2s,
             meter: Arc::clone(&meter),
             is_client: false,
+            pool,
         };
         (client, server, meter)
     }
@@ -55,6 +105,14 @@ impl Transport for MemTransport {
             self.meter.s2c.record(bytes.len());
         }
         self.tx.send(bytes).expect("peer endpoint dropped mid-protocol");
+    }
+
+    fn buffer(&self, len: usize) -> Vec<u8> {
+        self.pool.take(len)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.pool.put(buf);
     }
 
     fn recv(&self) -> Vec<u8> {
@@ -210,6 +268,71 @@ mod tests {
         assert!(c_out.is_empty());
         assert!(s_out.is_empty());
         assert_eq!(meter.total_messages(), 1);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    /// Capacities of the pool's buffers, smallest first.
+    fn pooled(t: &MemTransport) -> Vec<usize> {
+        let mut caps: Vec<usize> =
+            t.pool.bufs.lock().expect("pool").iter().map(Vec::capacity).collect();
+        caps.sort_unstable();
+        caps
+    }
+
+    #[test]
+    fn buffers_under_a_mebibyte_are_not_kept() {
+        let (c, _s, _) = MemTransport::pair();
+        c.recycle(Vec::with_capacity(MIB - 1));
+        c.recycle(Vec::new());
+        assert!(pooled(&c).is_empty());
+        c.recycle(Vec::with_capacity(MIB));
+        assert_eq!(pooled(&c), [MIB]);
+        // A small request never takes a pooled frame.
+        assert!(c.buffer(MIB - 1).capacity() < MIB);
+        assert_eq!(pooled(&c), [MIB]);
+    }
+
+    #[test]
+    fn a_request_takes_the_best_fit() {
+        let (c, _s, _) = MemTransport::pair();
+        let bufs = [4 * MIB, 2 * MIB, 3 * MIB].map(Vec::<u8>::with_capacity);
+        let ptrs = bufs.each_ref().map(|b| b.as_ptr());
+        for b in bufs {
+            c.recycle(b);
+        }
+        let got = c.buffer(2 * MIB + 1);
+        assert_eq!(got.as_ptr(), ptrs[2], "the 3 MiB buffer is the best fit");
+        assert!(got.is_empty());
+        assert_eq!(pooled(&c), [2 * MIB, 4 * MIB]);
+    }
+
+    #[test]
+    fn a_miss_frees_the_largest_buffer_that_does_not_fit() {
+        let (c, _s, _) = MemTransport::pair();
+        for cap in [MIB, 3 * MIB, 2 * MIB] {
+            c.recycle(Vec::with_capacity(cap));
+        }
+        let got = c.buffer(5 * MIB);
+        assert!(got.capacity() >= 5 * MIB);
+        assert_eq!(pooled(&c), [MIB, 2 * MIB]);
+    }
+
+    /// What one endpoint hands back, the other garbles into; a recycled
+    /// buffer keeps its stale bytes but comes back empty.
+    #[test]
+    fn both_endpoints_share_the_pool() {
+        let (c, s, _) = MemTransport::pair();
+        let frame = vec![0xAA_u8; 2 * MIB];
+        let ptr = frame.as_ptr();
+        c.send_owned(frame);
+        let received = s.recv();
+        assert_eq!(received.as_ptr(), ptr, "in-memory sends move the buffer");
+        s.recycle(received);
+        let reused = c.buffer(2 * MIB);
+        assert_eq!(reused.as_ptr(), ptr);
+        assert!(reused.is_empty() && reused.capacity() >= 2 * MIB);
+        assert!(pooled(&s).is_empty());
     }
 
     #[test]

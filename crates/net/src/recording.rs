@@ -41,6 +41,14 @@ impl<T: Transport> Transport for RecordingTransport<T> {
         self.inner.send_owned(bytes);
     }
 
+    fn buffer(&self, len: usize) -> Vec<u8> {
+        self.inner.buffer(len)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.inner.recycle(buf);
+    }
+
     fn recv(&self) -> Vec<u8> {
         self.inner.recv()
     }
@@ -79,6 +87,19 @@ impl TranscriptHandle {
 mod tests {
     use super::*;
     use crate::mem::MemTransport;
+
+    /// Buffers and recycling reach the wrapped transport's pool.
+    #[test]
+    fn buffers_and_recycling_pass_through() {
+        let (c, s, _meter) = MemTransport::pair();
+        let (rec_c, _) = RecordingTransport::new(c);
+        let (rec_s, _) = RecordingTransport::new(s);
+        let frame = Vec::<u8>::with_capacity(2 << 20);
+        let ptr = frame.as_ptr();
+        rec_s.recycle(frame);
+        let reused = rec_c.buffer(2 << 20);
+        assert_eq!(reused.as_ptr(), ptr);
+    }
 
     #[test]
     fn both_send_paths_are_recorded_in_order() {

@@ -102,6 +102,14 @@ impl<T: Transport> Transport for ShapedTransport<T> {
         self.inner.send_owned(bytes);
     }
 
+    fn buffer(&self, len: usize) -> Vec<u8> {
+        self.inner.buffer(len)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.inner.recycle(buf);
+    }
+
     fn recv(&self) -> Vec<u8> {
         self.inner.recv()
     }
@@ -204,6 +212,20 @@ mod tests {
         );
         assert_eq!(s0.recv().len(), 500_000);
         assert_eq!(s1.recv().len(), 500_000);
+    }
+
+    /// A shaped endpoint recycles into, and takes buffers from, the
+    /// pool of the transport it wraps.
+    #[test]
+    fn buffers_and_recycling_pass_through() {
+        let (ct, st, _) = MemTransport::pair();
+        let shaped_c = ShapedTransport::new(ct, NetworkModel::ideal());
+        let shaped_s = ShapedTransport::new(st, NetworkModel::ideal());
+        let frame = Vec::<u8>::with_capacity(2 << 20);
+        let ptr = frame.as_ptr();
+        shaped_s.recycle(frame);
+        let reused = shaped_c.buffer(2 << 20);
+        assert_eq!(reused.as_ptr(), ptr);
     }
 
     #[test]

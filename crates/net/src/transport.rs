@@ -42,6 +42,25 @@ pub trait Transport {
         self.send(&bytes);
     }
 
+    /// An empty buffer with room for a `len`-byte message, for a caller
+    /// about to build one and hand it to [`Transport::send_owned`]. The
+    /// default allocates; a transport that gets buffers back through
+    /// [`Transport::recycle`] may return one of those instead, so a large
+    /// frame is written into pages that are already mapped rather than
+    /// faulted in fresh. The buffer is empty
+    /// but its spare capacity holds stale bytes: the caller writes every
+    /// byte it sends.
+    fn buffer(&self, len: usize) -> Vec<u8> {
+        Vec::with_capacity(len)
+    }
+
+    /// Hands back a received message the caller is done with, for a
+    /// later [`Transport::buffer`]. The default drops it. A transport
+    /// that keeps it must bound what it keeps.
+    fn recycle(&self, buf: Vec<u8>) {
+        drop(buf);
+    }
+
     /// Receives the next message from the peer (blocking).
     ///
     /// # Panics

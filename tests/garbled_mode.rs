@@ -52,7 +52,7 @@ fn garbled_and_simulated_agree_with_reference() {
             move |t| {
                 let mut rng = seeded(702);
                 let step = GcServerStep::offline(&c2, mode, &OtGroup::test_768(), &t, &mut rng);
-                step.online(&c2, &t, &sb)
+                step.try_online(&c2, &t, &sb).expect("well-formed client flights")
             },
         );
         let server_out = bits_to_ring_words(&out_bits, rb);
