@@ -102,7 +102,7 @@ fn bench_gc(c: &mut Criterion) {
     // 48-bit words, 128 times, garbled two instances per pass. The labels
     // stay the size of a unit pair; the frame is the whole step's.
     // `garble_gelu_128` writes a fresh frame each time, so it pays the
-    // page faults of 149 MB; `/recycled` garbles into the previous
+    // page faults of 2.1 MB; `/recycled` garbles into the previous
     // frame's buffer, as a session does from its transport's pool — the
     // difference is the page-fault share.
     let gelu = build_step_circuit(&GcStepKind::Gelu { elems: 128 }, &sys.pipeline, sys.gc);

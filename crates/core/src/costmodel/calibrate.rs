@@ -115,7 +115,6 @@ impl OpCosts {
 #[derive(Debug, Clone, Copy)]
 pub struct GcGateModel {
     trunc_per_elem: f64,
-    relu_per_elem: f64,
     gelu_per_elem: f64,
     softmax_per_row_base: f64,
     softmax_per_elem: f64,
@@ -130,9 +129,6 @@ impl GcGateModel {
         let t1 = ands(&GcStepKind::TruncSat { elems: 4 });
         let t2 = ands(&GcStepKind::TruncSat { elems: 8 });
         let trunc_per_elem = (t2 - t1) / 4.0;
-        let r1 = ands(&GcStepKind::Relu { elems: 4 });
-        let r2 = ands(&GcStepKind::Relu { elems: 8 });
-        let relu_per_elem = (r2 - r1) / 4.0;
         let g1 = ands(&GcStepKind::Gelu { elems: 2 });
         let g2 = ands(&GcStepKind::Gelu { elems: 4 });
         let gelu_per_elem = (g2 - g1) / 2.0;
@@ -161,7 +157,6 @@ impl GcGateModel {
         let ln_per_row_base = l4 - 4.0 * ln_per_elem;
         Self {
             trunc_per_elem,
-            relu_per_elem,
             gelu_per_elem,
             softmax_per_row_base,
             softmax_per_elem,
@@ -184,10 +179,6 @@ impl GcGateModel {
 
     pub(crate) fn trunc(&self, elems: usize) -> f64 {
         self.trunc_per_elem * elems as f64
-    }
-
-    pub(crate) fn relu(&self, elems: usize) -> f64 {
-        self.relu_per_elem * elems as f64
     }
 
     pub(crate) fn gelu(&self, elems: usize) -> f64 {

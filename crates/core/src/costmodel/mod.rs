@@ -233,9 +233,7 @@ impl CostModel {
                     in_cts(n, d) * 2.0 + in_cts(n, dff),
                     6.0,
                 );
-                // The paper's GC activation is ReLU-style (Fig. 4); our engine
-                // also supports the costlier GELU (see `gelu` ablations).
-                let ands = self.gates.layer_norm(n, d) * 2.0 + self.gates.relu(n * dff);
+                let ands = self.gates.layer_norm(n, d) * 2.0 + self.gates.gelu(n * dff);
                 e.0.gc_garble_ands += ands;
                 e.0.bytes += ands * 32.0;
                 e.1.gc_eval_ands += ands;

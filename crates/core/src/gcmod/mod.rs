@@ -144,15 +144,16 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
                 relu(&mut b, &tr)
             })
             .collect(),
-        GcStepKind::Gelu { .. } => lifted
-            .iter()
-            .map(|v| {
-                let tr = trunc_sat(&mut b, v);
-                let up = b.shl_const(&tr, delta);
-                let g = gcnl::gelu(&mut b, gc, &up);
-                from_gc(&mut b, &g)
-            })
-            .collect(),
+        GcStepKind::Gelu { .. } => {
+            let table = GeluTable::new(spec);
+            lifted
+                .iter()
+                .map(|v| {
+                    let tr = trunc_sat(&mut b, v);
+                    table.circuit(&mut b, &tr[..bits as usize])
+                })
+                .collect()
+        }
         GcStepKind::Softmax { prescale, .. } => {
             let shift = spec.gc_frac as i32 - 2 * spec.fixed.frac() as i32;
             let pre = b.const_word(*prescale, w);
@@ -199,6 +200,75 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
     b.build(&outputs).repeated(repeat, &planes[..2 + res], &planes[..1 + res])
 }
 
+/// The GELU step's gadget: `gelu(x) = relu(x) − d(x)`, where the gap
+/// `d = relu − PipelineSpec::gelu` is read from a table of the reference
+/// itself, so the circuit is exact on every value of the format.
+///
+/// `d` is non-zero only for small `|x|` (GELU meets ReLU in both tails),
+/// so the table covers the smallest signed window holding every
+/// non-zero gap and the circuit gates it off outside: at `FixedSpec(12,
+/// 5)` a 9-bit window of 3-bit gaps, at `FixedSpec::paper()` an 11-bit
+/// window of 5-bit gaps.
+struct GeluTable {
+    /// Value bits of the format.
+    bits: usize,
+    /// Index bits: the window is `[−2^(window−1), 2^(window−1))`.
+    window: usize,
+    /// Bits of the largest gap.
+    gap_bits: usize,
+    /// `d(x)` for the window's values in two's-complement index order.
+    gaps: Vec<u64>,
+}
+
+impl GeluTable {
+    /// Tabulates the gap over the whole format — `2^bits` reference calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the reference rises above ReLU somewhere (the gap would
+    /// be negative).
+    fn new(spec: &PipelineSpec) -> Self {
+        let f = spec.fixed;
+        let all: Vec<u64> = (f.min_raw()..=f.max_raw())
+            .map(|x| {
+                let d = fxp::relu(x) - spec.gelu(x);
+                assert!(d >= 0, "reference GELU above ReLU at raw {x}");
+                d as u64
+            })
+            .collect();
+        let gap = |x: i64| all[(x - f.min_raw()) as usize];
+        // Smallest signed width holding every x with a non-zero gap.
+        let window = (f.min_raw()..=f.max_raw())
+            .filter(|&x| gap(x) != 0)
+            .map(|x| 65 - (x ^ (x >> 63)).leading_zeros() as usize)
+            .max()
+            .unwrap_or(1);
+        let gap_bits = all.iter().max().map_or(0, |d| 64 - d.leading_zeros() as usize);
+        let half = 1i64 << (window - 1);
+        let gaps = (0..2 * half).map(|i| gap(if i < half { i } else { i - 2 * half })).collect();
+        Self { bits: f.bits() as usize, window, gap_bits, gaps }
+    }
+
+    /// `gelu(x)` for the `bits`-bit word `x`, as a `bits`-bit word.
+    fn circuit(&self, b: &mut CircuitBuilder, x: &[Bit]) -> Word {
+        let out = relu(b, x);
+        // In the window iff every bit above it copies its top bit.
+        let top = x[self.window - 1];
+        let mut inside = Bit::Const(true);
+        for &xi in &x[self.window..] {
+            let differs = b.xor(xi, top);
+            let same = b.not(differs);
+            inside = b.and(inside, same);
+        }
+        let mut gap = gcnl::lookup(b, &x[..self.window], &self.gaps, self.gap_bits);
+        for g in &mut gap {
+            *g = b.and(*g, inside);
+        }
+        gap.resize(self.bits, Bit::Const(false));
+        b.sub(&out, &gap)
+    }
+}
+
 /// Reference semantics of a step on reconstructed raw values — must agree
 /// with both the circuit and `primer_nn::FixedTransformer`. Input/output
 /// are signed raw values.
@@ -209,13 +279,7 @@ pub fn reference_step(kind: &GcStepKind, spec: &PipelineSpec, raw: &[i64], resid
         GcStepKind::Relu { .. } => {
             raw.iter().map(|&v| fxp::relu(f.truncate_product(v))).collect()
         }
-        GcStepKind::Gelu { .. } => raw
-            .iter()
-            .map(|&v| {
-                let tr = f.truncate_product(v);
-                spec.from_gc(fxp::gelu(spec.to_gc(tr), spec.gc_frac))
-            })
-            .collect(),
+        GcStepKind::Gelu { .. } => raw.iter().map(|&v| spec.gelu(f.truncate_product(v))).collect(),
         GcStepKind::Softmax { rows, cols, prescale } => {
             let mut out = Vec::with_capacity(rows * cols);
             for r in 0..*rows {
@@ -288,3 +352,23 @@ pub fn bits_to_ring_words(bits: &[bool], rb: usize) -> Vec<u64> {
 mod exec;
 
 pub use exec::{GcClientOt, GcClientStep, GcServerOt, GcServerStep, GcSessionOt};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use primer_math::{FixedSpec, Ring};
+
+    /// The window and gap width are read off the reference: GELU's gap
+    /// from ReLU dies out at ±143 raw (4.5) in the test format and ±573
+    /// raw (4.5) in the paper's.
+    #[test]
+    fn gelu_table_window_and_gap_width() {
+        for (fixed, window, gap_bits) in
+            [(FixedSpec::new(12, 5), 9, 3), (FixedSpec::paper(), 11, 5)]
+        {
+            let spec = PipelineSpec::new(Ring::new((1 << 40) + 15), fixed, 12);
+            let table = GeluTable::new(&spec);
+            assert_eq!((table.window, table.gap_bits), (window, gap_bits), "{fixed:?}");
+        }
+    }
+}

@@ -10,28 +10,30 @@
 //! either body. Repeats 1, 2 and 3 cover a single instance, an instance
 //! pair and an odd last instance. The digest is 64-bit FNV-1a — change
 //! detection, not security.
+//!
+//! The GELU step is a table lookup, so it is checked exhaustively: on
+//! every value of the format, plain and garbled, against the reference.
 
-use primer_core::gcmod::{build_step_circuit, GcStepKind};
+use primer_core::gcmod::{
+    bits_to_ring_words, build_step_circuit, reference_step, ring_words_to_bits, GcStepKind,
+};
 use primer_gc::aes::{Aes128, FIXED_KEY};
-use primer_gc::garble::{evaluate_with, garble_with, InputEncoding};
+use primer_gc::arith::ring_bits;
+use primer_gc::builder::{from_bits_unsigned, to_bits, CircuitBuilder};
+use primer_gc::garble::{evaluate, evaluate_with, garble, garble_with, InputEncoding};
 use primer_gc::label::GarbleHash;
+use primer_gc::nonlinear::lookup;
 use primer_gc::{Circuit, GcNumCfg};
 use primer_he::params::HeParams;
 use primer_math::rng::seeded;
 use primer_math::{fxp, FixedSpec, Ring};
 use primer_nn::PipelineSpec;
+use proptest::prelude::*;
 use rand::Rng;
 
-/// Random input bits for `circuit` drawn from `seed`, and the labels the
-/// evaluator holds for them under `enc`.
-fn random_inputs(
-    circuit: &Circuit,
-    enc: &InputEncoding,
-    seed: u64,
-) -> ([Vec<bool>; 2], [Vec<u128>; 2]) {
-    let mut rng = seeded(seed);
-    let g_bits: Vec<bool> = (0..circuit.garbler_inputs).map(|_| rng.gen()).collect();
-    let e_bits: Vec<bool> = (0..circuit.evaluator_inputs).map(|_| rng.gen()).collect();
+/// The labels the evaluator holds for input bits `g_bits` / `e_bits`
+/// under `enc`.
+fn input_labels(enc: &InputEncoding, g_bits: &[bool], e_bits: &[bool]) -> [Vec<u128>; 2] {
     let gl = g_bits.iter().enumerate().map(|(i, &b)| enc.garbler_label(i, b)).collect();
     let el = e_bits
         .iter()
@@ -45,7 +47,21 @@ fn random_inputs(
             }
         })
         .collect();
-    ([g_bits, e_bits], [gl, el])
+    [gl, el]
+}
+
+/// Random input bits for `circuit` drawn from `seed`, and the labels the
+/// evaluator holds for them under `enc`.
+fn random_inputs(
+    circuit: &Circuit,
+    enc: &InputEncoding,
+    seed: u64,
+) -> ([Vec<bool>; 2], [Vec<u128>; 2]) {
+    let mut rng = seeded(seed);
+    let g_bits: Vec<bool> = (0..circuit.garbler_inputs).map(|_| rng.gen()).collect();
+    let e_bits: Vec<bool> = (0..circuit.evaluator_inputs).map(|_| rng.gen()).collect();
+    let labels = input_labels(enc, &g_bits, &e_bits);
+    ([g_bits, e_bits], labels)
 }
 
 fn check_tiers_agree(name: &str, circuit: &Circuit, seed: u64) {
@@ -145,7 +161,8 @@ fn digests(name: &str, circuit: &Circuit, hash: &GarbleHash, seed: u64) -> (u64,
 }
 
 /// `(step, repeat, frame digest, encoding digest)`, recorded before the
-/// garbler ran instances in pairs.
+/// garbler ran instances in pairs; GELU's frames re-recorded when its
+/// step became a table lookup (its encodings did not move).
 const GOLDEN: [(&str, usize, u64, u64); 12] = [
     ("trunc_sat", 1, 0x4c7417417e9f3b4a, 0x0f88ec5ae77dde5e),
     ("trunc_sat", 2, 0x88a6dcee2c460a6e, 0xd5511de237b4320d),
@@ -156,9 +173,9 @@ const GOLDEN: [(&str, usize, u64, u64); 12] = [
     ("layer_norm_residual", 1, 0xd6ec6f55e828cf86, 0x73bbc93717231c56),
     ("layer_norm_residual", 2, 0x524c6b74cf3b5743, 0x8c68d05642f4f5d8),
     ("layer_norm_residual", 3, 0xb95b19c6e0c6f77a, 0x25ce5d49678c1908),
-    ("gelu", 1, 0x103fa95487beed1a, 0x87ae5747f7a473d4),
-    ("gelu", 2, 0x0f0559651bf2502f, 0x66c583d23a1018a0),
-    ("gelu", 3, 0x1924e88741483199, 0x6b763215a12c1202),
+    ("gelu", 1, 0xda26217a4206ee33, 0x87ae5747f7a473d4),
+    ("gelu", 2, 0x730280cc2fe40a96, 0x66c583d23a1018a0),
+    ("gelu", 3, 0x1c09f561472c2e4b, 0x6b763215a12c1202),
 ];
 
 fn check_golden(hash: &GarbleHash, body: &str) {
@@ -186,4 +203,93 @@ fn step_frames_match_golden_digests_on_the_hardware_body() {
         return;
     }
     check_golden(&GarbleHash::with_aes(aes), "hardware");
+}
+
+/// Raw (product-scale) inputs covering every value of `fixed` after
+/// truncation — each value with random low bits, which the truncation
+/// floors away — then inputs that saturate either way.
+fn every_gelu_input(fixed: FixedSpec, t: u64) -> Vec<i64> {
+    let mut rng = seeded(0x6e1);
+    let frac = fixed.frac();
+    let mut raw: Vec<i64> = (fixed.min_raw()..=fixed.max_raw())
+        .map(|x| (x << frac) + rng.gen_range(0..1i64 << frac))
+        .collect();
+    let past = (fixed.max_raw() + 1) << frac;
+    let edge = (t / 2) as i64 - 1;
+    raw.extend([past, -past - 1, 3 * past, -3 * past, edge, -edge]);
+    raw
+}
+
+/// The GELU step at `fixed` on `raw` through `run` (circuit, client
+/// bits, server bits → server output bits), shares and masks drawn at
+/// random: the server's share plus the mask must equal `reference_step`.
+fn check_gelu_step(
+    fixed: FixedSpec,
+    t: u64,
+    raw: &[i64],
+    run: impl FnOnce(&Circuit, &[bool], &[bool]) -> Vec<bool>,
+) {
+    let spec = PipelineSpec::new(Ring::new(t), fixed, 12);
+    let ring = spec.ring;
+    let rb = ring_bits(t);
+    let kind = GcStepKind::Gelu { elems: raw.len() };
+    let circuit = build_step_circuit(&kind, &spec, GcNumCfg { width: 48, frac: 12 });
+    let mut rng = seeded(0x6e2);
+    let client: Vec<u64> = (0..raw.len()).map(|_| ring.random(&mut rng)).collect();
+    let server: Vec<u64> =
+        raw.iter().zip(&client).map(|(&v, &c)| ring.sub(ring.from_signed(v), c)).collect();
+    let masks: Vec<u64> = (0..raw.len()).map(|_| ring.random(&mut rng)).collect();
+    let client_bits = ring_words_to_bits(&[&client[..], &masks[..]].concat(), rb);
+    let out_bits = run(&circuit, &client_bits, &ring_words_to_bits(&server, rb));
+    let out = bits_to_ring_words(&out_bits, rb);
+    let want = reference_step(&kind, &spec, raw, &[]);
+    for (i, (&o, &m)) in out.iter().zip(&masks).enumerate() {
+        assert_eq!(ring.to_signed(ring.add(o, m)), want[i], "{fixed:?}: raw input {}", raw[i]);
+    }
+}
+
+#[test]
+fn gelu_step_equals_reference_on_every_value_at_the_test_format() {
+    let (fixed, t) = (FixedSpec::new(12, 5), HeParams::test_2k_wide().t());
+    check_gelu_step(fixed, t, &every_gelu_input(fixed, t), |c, g, e| c.eval_plain(g, e));
+}
+
+#[test]
+fn gelu_step_equals_reference_on_every_value_at_the_paper_format() {
+    let (fixed, t) = (FixedSpec::paper(), HeParams::paper_8k().t());
+    check_gelu_step(fixed, t, &every_gelu_input(fixed, t), |c, g, e| c.eval_plain(g, e));
+}
+
+#[test]
+fn garbled_gelu_step_equals_reference_on_every_value_at_the_test_format() {
+    let (fixed, t) = (FixedSpec::new(12, 5), HeParams::test_2k_wide().t());
+    check_gelu_step(fixed, t, &every_gelu_input(fixed, t), |c, g_bits, e_bits| {
+        let (garbled, enc) = garble(c, &mut seeded(0x6e3));
+        let [gl, el] = input_labels(&enc, g_bits, e_bits);
+        evaluate(c, &garbled, &gl, &el)
+    });
+}
+
+proptest! {
+    /// `lookup` reads back every entry of a random table, whichever
+    /// split it picks.
+    #[test]
+    fn lookup_reads_every_entry_of_a_random_table(
+        index_bits in 1usize..=6,
+        out_bits in 1usize..=5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = seeded(seed);
+        let table: Vec<u64> =
+            (0..1usize << index_bits).map(|_| rng.gen_range(0..1u64 << out_bits)).collect();
+        let mut b = CircuitBuilder::new();
+        let index = b.garbler_input(index_bits);
+        let out = lookup(&mut b, &index, &table, out_bits);
+        let c = b.build(&out);
+        prop_assert_eq!(c.unreachable_gates(), 0);
+        for (i, &want) in table.iter().enumerate() {
+            let got = from_bits_unsigned(&c.eval_plain(&to_bits(i as i64, index_bits), &[]));
+            prop_assert_eq!(got, want, "index {}", i);
+        }
+    }
 }

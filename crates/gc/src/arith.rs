@@ -83,11 +83,14 @@ pub fn saturate(b: &mut CircuitBuilder, v: &Word, bits: u32) -> Word {
     b.mux_word(under, &min_c, &clamped_hi)
 }
 
-/// ReLU on a two's-complement word (sign-controlled mux).
-pub fn relu(b: &mut CircuitBuilder, v: &Word) -> Word {
-    let sign = *v.last().expect("non-empty");
-    let zero = b.const_word(0, v.len());
-    b.mux_word(sign, &zero, v)
+/// ReLU on a two's-complement word: the value bits masked by the
+/// inverted sign, so the result's sign bit is a constant 0.
+pub fn relu(b: &mut CircuitBuilder, v: &[Bit]) -> Word {
+    let (&sign, value) = v.split_last().expect("non-empty");
+    let keep = b.not(sign);
+    let mut out: Word = value.iter().map(|&x| b.and(x, keep)).collect();
+    out.push(Bit::Const(false));
+    out
 }
 
 /// Absolute value.

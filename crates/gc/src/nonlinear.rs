@@ -1,15 +1,22 @@
 //! Fixed-point non-linear function circuits.
 //!
-//! Each gadget replicates the corresponding `primer_math::fxp` algorithm
-//! **gate for gate** — identical polynomial constants, identical Newton
-//! iteration counts, identical shift semantics — so the garbled execution
-//! is bit-exact against the plaintext fixed-point reference on the valid
-//! input domain (positive inputs for recip/rsqrt, `x ≥ 0` for exp_neg,
-//! magnitudes small enough not to overflow the configured width).
+//! Each arithmetic gadget replicates the corresponding `primer_math::fxp`
+//! algorithm **gate for gate** — identical polynomial constants,
+//! identical Newton iteration counts, identical shift semantics — so the
+//! garbled execution is bit-exact against the plaintext fixed-point
+//! reference on the valid input domain (positive inputs for recip/rsqrt,
+//! `x ≥ 0` for exp_neg, magnitudes small enough not to overflow the
+//! configured width).
+//!
+//! A function of a narrow input is cheaper as a table: [`lookup`] reads
+//! a table computed at build time, so it is exact on every index by
+//! construction. The GELU step is built that way (`primer_core::gcmod`),
+//! from the reference GELU itself.
 
 use crate::arith::{max_signed, msb_index, shift_by_neg_signed};
 use crate::builder::{Bit, CircuitBuilder, Word};
 use primer_math::fxp::const_q;
+use std::collections::BTreeMap;
 
 /// Numeric configuration: word `width` and fractional bits `frac` of the
 /// GC-internal fixed-point format.
@@ -149,26 +156,6 @@ pub fn rsqrt(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
     shift_by_neg_signed(b, &y, &half_s)
 }
 
-/// Logistic sigmoid — matches `fxp::sigmoid`.
-pub fn sigmoid(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
-    let sign = *x.last().expect("non-empty");
-    let x_abs = crate::arith::abs(b, x);
-    let e = exp_neg(b, cfg, &x_abs);
-    let one = b.const_word(1i64 << cfg.frac, cfg.width);
-    let denom = b.add(&one, &e);
-    let pos = recip(b, cfg, &denom);
-    let neg_case = b.sub(&one, &pos);
-    b.mux_word(sign, &neg_case, &pos)
-}
-
-/// GELU in sigmoid form — matches `fxp::gelu`.
-pub fn gelu(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
-    let k = cq(b, cfg, 1.702);
-    let kx = mul_q(b, cfg, &k, x);
-    let s = sigmoid(b, cfg, &kx);
-    mul_q(b, cfg, x, &s)
-}
-
 /// Stable SoftMax over a slice of words — matches `fxp::softmax`.
 pub fn softmax(b: &mut CircuitBuilder, cfg: GcNumCfg, xs: &[Word]) -> Vec<Word> {
     assert!(!xs.is_empty(), "softmax of an empty slice");
@@ -234,6 +221,96 @@ pub fn layer_norm(
         .collect()
 }
 
+/// One-hot decode of `bits` (little endian): line `v` is set iff `bits`
+/// reads `v`. `2^len − 2` ANDs.
+fn one_hot(b: &mut CircuitBuilder, bits: &[Bit]) -> Vec<Bit> {
+    let mut lines = vec![Bit::Const(true)];
+    for &bit in bits {
+        let set: Vec<Bit> = lines.iter().map(|&l| b.and(l, bit)).collect();
+        let clear: Vec<Bit> = lines.iter().zip(&set).map(|(&l, &s)| b.xor(l, s)).collect();
+        lines = clear;
+        lines.extend(set);
+    }
+    lines
+}
+
+/// `table[index]`, the low `out_bits` bits of the entry, as an unsigned
+/// word: exact on every index, whatever function the table holds.
+///
+/// The index splits into `k` high and `n − k` low bits, each decoded
+/// one-hot. Output bit `j` is `⊕_h hot_h ∧ sel_{h,j}`, where `sel_{h,j}`
+/// is the XOR (free) of the low lines whose entry in block `h` has bit
+/// `j` set; blocks with the same selection share one AND, an empty
+/// selection costs none and a full one (the low lines sum to 1) is
+/// `hot_h` itself. `k` is the split with the fewest ANDs (then gates),
+/// found by building each candidate.
+///
+/// # Panics
+///
+/// Panics unless `table.len() == 2^index.len()` and every entry fits in
+/// `out_bits` bits.
+pub fn lookup(b: &mut CircuitBuilder, index: &[Bit], table: &[u64], out_bits: usize) -> Word {
+    let n = index.len();
+    assert_eq!(table.len(), 1 << n, "table length must be 2^{n}");
+    assert!(
+        out_bits >= 64 || table.iter().all(|&v| v >> out_bits == 0),
+        "table entry wider than {out_bits} bits"
+    );
+    let k = (0..=n)
+        .min_by_key(|&k| {
+            let mut trial = CircuitBuilder::new();
+            let idx = trial.garbler_input(n);
+            let out = lookup_split(&mut trial, &idx, table, out_bits, k);
+            let c = trial.build(&out);
+            (c.and_count(), c.unit_gates().len())
+        })
+        .expect("at least one split");
+    lookup_split(b, index, table, out_bits, k)
+}
+
+/// [`lookup`] with the high `k` index bits decoded as the block.
+fn lookup_split(
+    b: &mut CircuitBuilder,
+    index: &[Bit],
+    table: &[u64],
+    out_bits: usize,
+    k: usize,
+) -> Word {
+    let low_bits = index.len() - k;
+    let low = one_hot(b, &index[..low_bits]);
+    let high = one_hot(b, &index[low_bits..]);
+    (0..out_bits)
+        .map(|j| {
+            // Selection pattern (entry bit j per low line) → XOR of the
+            // high lines whose block has that pattern.
+            let mut blocks: BTreeMap<Vec<bool>, Bit> = BTreeMap::new();
+            for (h, &hot) in high.iter().enumerate() {
+                let block = &table[h << low_bits..(h + 1) << low_bits];
+                let pattern: Vec<bool> = block.iter().map(|&v| (v >> j) & 1 == 1).collect();
+                if pattern.contains(&true) {
+                    let acc = blocks.entry(pattern).or_insert(Bit::Const(false));
+                    *acc = b.xor(*acc, hot);
+                }
+            }
+            let mut out = Bit::Const(false);
+            for (pattern, hots) in blocks {
+                // XOR the shorter side: the low lines sum to 1.
+                let ones = pattern.iter().filter(|&&p| p).count();
+                let flip = 2 * ones > pattern.len();
+                let mut sel = Bit::Const(flip);
+                for (&p, &line) in pattern.iter().zip(&low) {
+                    if p != flip {
+                        sel = b.xor(sel, line);
+                    }
+                }
+                let term = b.and(hots, sel);
+                out = b.xor(out, term);
+            }
+            out
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,14 +366,6 @@ mod tests {
         let inputs: Vec<i64> =
             [0.1f64, 0.25, 0.9, 1.0, 2.0, 16.0, 70.0].iter().map(|&x| q(x)).collect();
         check_unary(rsqrt, |v| fxp::rsqrt(v, CFG.frac), &inputs);
-    }
-
-    #[test]
-    fn sigmoid_and_gelu_bit_exact() {
-        let inputs: Vec<i64> =
-            [-6.0f64, -2.5, -0.7, 0.0, 0.3, 1.9, 6.0].iter().map(|&x| q(x)).collect();
-        check_unary(sigmoid, |v| fxp::sigmoid(v, CFG.frac), &inputs);
-        check_unary(gelu, |v| fxp::gelu(v, CFG.frac), &inputs);
     }
 
     #[test]

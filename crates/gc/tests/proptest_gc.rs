@@ -147,18 +147,4 @@ proptest! {
         prop_assert_eq!(got_sum, (x + y) % t);
         prop_assert_eq!(got_diff, (x + t - y) % t);
     }
-
-    /// The sigmoid circuit is bit-exact against fxp for arbitrary inputs
-    /// in the numeric domain.
-    #[test]
-    fn sigmoid_circuit_bit_exact(x in -(6i64 << 12)..(6i64 << 12)) {
-        use primer_gc::nonlinear::{sigmoid, GcNumCfg};
-        let cfg = GcNumCfg { width: 32, frac: 12 };
-        let mut bld = CircuitBuilder::new();
-        let input = bld.garbler_input(cfg.width);
-        let out = sigmoid(&mut bld, cfg, &input);
-        let c = bld.build(&out);
-        let got = from_bits_signed(&c.eval_plain(&to_bits(x, cfg.width), &[]));
-        prop_assert_eq!(got, primer_math::fxp::sigmoid(x, cfg.frac));
-    }
 }

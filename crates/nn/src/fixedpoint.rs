@@ -58,6 +58,15 @@ impl PipelineSpec {
         self.fixed.saturate(v >> (self.gc_frac - self.fixed.frac()))
     }
 
+    /// GELU at pipeline scale: the value lifted to GC scale, `fxp::gelu`
+    /// there, and back down saturating. The one definition the
+    /// reference model and the garbled GELU step (whose lookup table is
+    /// computed from it) share.
+    #[inline]
+    pub fn gelu(&self, v: i64) -> i64 {
+        self.from_gc(fxp::gelu(self.to_gc(v), self.gc_frac))
+    }
+
     /// Converts a double-scale (product) value to GC scale — the entry
     /// conversion of the SoftMax module, whose inputs are untruncated
     /// `Q·Kᵀ` products at scale `2^(2·frac)`.
@@ -225,8 +234,7 @@ impl FixedTransformer {
 
     /// GELU module (elementwise, pipeline scale in and out).
     pub fn gelu_mat(&self, m: &MatI) -> MatI {
-        let spec = &self.spec;
-        m.map(|&v| spec.from_gc(fxp::gelu(spec.to_gc(v), spec.gc_frac)))
+        m.map(|&v| self.spec.gelu(v))
     }
 
     /// LayerNorm module over rows (pipeline scale in and out).

@@ -7,7 +7,8 @@
 //! Run: `cargo run --release --example circuit_stats [-- --check]`
 //!
 //! `--check` exits non-zero if any unit holds a gate no output depends
-//! on, or `unit ANDs × repeat` disagrees with `Circuit::and_count()`.
+//! on, `unit ANDs × repeat` disagrees with `Circuit::and_count()`, or a
+//! Primer-FPC query needs more than [`FPC_QUERY_AND_BOUND`] ANDs.
 
 use primer::core::{build_session_circuits, ProtocolVariant, SystemConfig};
 use primer::gc::circuit::Gate;
@@ -15,6 +16,10 @@ use primer::gc::garble::frame_len;
 use primer::math::rng::seeded;
 use primer::nn::{FixedTransformer, TransformerConfig, TransformerWeights};
 use std::process::ExitCode;
+
+/// ANDs a test-tiny Primer-FPC query may garble (ROADMAP item 3's GC
+/// budget): a gadget change that re-inflates a step fails the check.
+const FPC_QUERY_AND_BOUND: usize = 2_000_000;
 
 fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let check = std::env::args().skip(1).any(|a| a == "--check");
@@ -77,6 +82,10 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         println!("query: {ands} ANDs ({written_ands} as written), {frame} frame bytes,");
         println!("       {resident} bytes resident\n");
+        if variant == ProtocolVariant::Fpc && ands > FPC_QUERY_AND_BOUND {
+            eprintln!("{}: {ands} ANDs a query, above {FPC_QUERY_AND_BOUND}", variant.name());
+            bad += 1;
+        }
     }
     Ok(if check && bad != 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
