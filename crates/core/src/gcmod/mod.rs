@@ -189,9 +189,10 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
 
     // Re-embed into the ring and subtract the client's fresh mask.
     let mut outputs: Vec<Bit> = Vec::with_capacity(n * rb);
+    // Every result is saturated to `bits`, so its bits above are sign
+    // copies the builder cannot see as such: embed the low `bits` only.
     for (res, mask) in results.iter().zip(&masks) {
-        let res_w = b.resize_signed(res, w);
-        let ring_val = ring_embed(&mut b, &res_w, t);
+        let ring_val = ring_embed(&mut b, &res[..bits as usize].to_vec(), t);
         let shared = sub_mod(&mut b, &ring_val, mask, t);
         outputs.extend_from_slice(&shared);
     }
@@ -214,10 +215,8 @@ struct GeluTable {
     bits: usize,
     /// Index bits: the window is `[−2^(window−1), 2^(window−1))`.
     window: usize,
-    /// Bits of the largest gap.
-    gap_bits: usize,
     /// `d(x)` for the window's values in two's-complement index order.
-    gaps: Vec<u64>,
+    gaps: gcnl::Table,
 }
 
 impl GeluTable {
@@ -243,10 +242,10 @@ impl GeluTable {
             .map(|x| 65 - (x ^ (x >> 63)).leading_zeros() as usize)
             .max()
             .unwrap_or(1);
-        let gap_bits = all.iter().max().map_or(0, |d| 64 - d.leading_zeros() as usize);
         let half = 1i64 << (window - 1);
-        let gaps = (0..2 * half).map(|i| gap(if i < half { i } else { i - 2 * half })).collect();
-        Self { bits: f.bits() as usize, window, gap_bits, gaps }
+        let gaps: Vec<u64> =
+            (0..2 * half).map(|i| gap(if i < half { i } else { i - 2 * half })).collect();
+        Self { bits: f.bits() as usize, window, gaps: gcnl::Table::new(&gaps) }
     }
 
     /// `gelu(x)` for the `bits`-bit word `x`, as a `bits`-bit word.
@@ -260,7 +259,7 @@ impl GeluTable {
             let same = b.not(differs);
             inside = b.and(inside, same);
         }
-        let mut gap = gcnl::lookup(b, &x[..self.window], &self.gaps, self.gap_bits);
+        let mut gap = self.gaps.read(b, &x[..self.window]);
         for g in &mut gap {
             *g = b.and(*g, inside);
         }
@@ -368,7 +367,7 @@ mod tests {
         {
             let spec = PipelineSpec::new(Ring::new((1 << 40) + 15), fixed, 12);
             let table = GeluTable::new(&spec);
-            assert_eq!((table.window, table.gap_bits), (window, gap_bits), "{fixed:?}");
+            assert_eq!((table.window, table.gaps.out_bits()), (window, gap_bits), "{fixed:?}");
         }
     }
 }

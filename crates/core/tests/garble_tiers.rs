@@ -13,6 +13,9 @@
 //!
 //! The GELU step is a table lookup, so it is checked exhaustively: on
 //! every value of the format, plain and garbled, against the reference.
+//! The SoftMax and LayerNorm steps read exp, recip and rsqrt from tables
+//! (each gadget checked exhaustively in `primer_gc::nonlinear`); here the
+//! whole steps meet the reference on random rows, saturating ones too.
 
 use primer_core::gcmod::{
     bits_to_ring_words, build_step_circuit, reference_step, ring_words_to_bits, GcStepKind,
@@ -22,7 +25,7 @@ use primer_gc::arith::ring_bits;
 use primer_gc::builder::{from_bits_unsigned, to_bits, CircuitBuilder};
 use primer_gc::garble::{evaluate, evaluate_with, garble, garble_with, InputEncoding};
 use primer_gc::label::GarbleHash;
-use primer_gc::nonlinear::lookup;
+use primer_gc::nonlinear::Table;
 use primer_gc::{Circuit, GcNumCfg};
 use primer_he::params::HeParams;
 use primer_math::rng::seeded;
@@ -162,17 +165,19 @@ fn digests(name: &str, circuit: &Circuit, hash: &GarbleHash, seed: u64) -> (u64,
 
 /// `(step, repeat, frame digest, encoding digest)`, recorded before the
 /// garbler ran instances in pairs; GELU's frames re-recorded when its
-/// step became a table lookup (its encodings did not move).
+/// step became a table lookup, and the other steps' frames when the
+/// share wrapper took the result's low `bits` only and SoftMax and
+/// LayerNorm read exp, recip and rsqrt from tables (no encoding moved).
 const GOLDEN: [(&str, usize, u64, u64); 12] = [
-    ("trunc_sat", 1, 0x4c7417417e9f3b4a, 0x0f88ec5ae77dde5e),
-    ("trunc_sat", 2, 0x88a6dcee2c460a6e, 0xd5511de237b4320d),
-    ("trunc_sat", 3, 0x1b532b73caa17bea, 0xc3fab69ab1236282),
-    ("softmax", 1, 0xb422d323db095ef0, 0x34fe47915d09e14e),
-    ("softmax", 2, 0xafbaf86a2939cea3, 0x20d0464e147b5b6f),
-    ("softmax", 3, 0xee1c2c6ce7833555, 0xf99834b90a815f6a),
-    ("layer_norm_residual", 1, 0xd6ec6f55e828cf86, 0x73bbc93717231c56),
-    ("layer_norm_residual", 2, 0x524c6b74cf3b5743, 0x8c68d05642f4f5d8),
-    ("layer_norm_residual", 3, 0xb95b19c6e0c6f77a, 0x25ce5d49678c1908),
+    ("trunc_sat", 1, 0x3c4b28856f69829e, 0x0f88ec5ae77dde5e),
+    ("trunc_sat", 2, 0x2b69ce0873a83f40, 0xd5511de237b4320d),
+    ("trunc_sat", 3, 0x573d295e4ea52fb1, 0xc3fab69ab1236282),
+    ("softmax", 1, 0x7063738c93a380b3, 0x34fe47915d09e14e),
+    ("softmax", 2, 0x97227c2aaa7d56f1, 0x20d0464e147b5b6f),
+    ("softmax", 3, 0x8cccf7c07684085e, 0xf99834b90a815f6a),
+    ("layer_norm_residual", 1, 0x867c4f5b1f527a6e, 0x73bbc93717231c56),
+    ("layer_norm_residual", 2, 0xe0d2ae26c2e09b7d, 0x8c68d05642f4f5d8),
+    ("layer_norm_residual", 3, 0x10df89df354cc10b, 0x25ce5d49678c1908),
     ("gelu", 1, 0xda26217a4206ee33, 0x87ae5747f7a473d4),
     ("gelu", 2, 0x730280cc2fe40a96, 0x66c583d23a1018a0),
     ("gelu", 3, 0x1c09f561472c2e4b, 0x6b763215a12c1202),
@@ -220,32 +225,49 @@ fn every_gelu_input(fixed: FixedSpec, t: u64) -> Vec<i64> {
     raw
 }
 
-/// The GELU step at `fixed` on `raw` through `run` (circuit, client
-/// bits, server bits → server output bits), shares and masks drawn at
-/// random: the server's share plus the mask must equal `reference_step`.
+/// `kind` at `fixed` on `raw` (and `residual`, for a step that takes
+/// one) through `run` (circuit, client bits, server bits → server output
+/// bits), shares and masks drawn at random: the server's share plus the
+/// mask must equal `reference_step`.
+fn check_step(
+    kind: &GcStepKind,
+    fixed: FixedSpec,
+    t: u64,
+    raw: &[i64],
+    residual: &[i64],
+    run: impl FnOnce(&Circuit, &[bool], &[bool]) -> Vec<bool>,
+) {
+    let spec = PipelineSpec::new(Ring::new(t), fixed, 12);
+    let ring = spec.ring;
+    let rb = ring_bits(t);
+    let circuit = build_step_circuit(kind, &spec, GcNumCfg { width: 48, frac: 12 });
+    let mut rng = seeded(0x6e2);
+    let mut share = |vals: &[i64]| -> (Vec<u64>, Vec<u64>) {
+        let client: Vec<u64> = vals.iter().map(|_| ring.random(&mut rng)).collect();
+        let server =
+            vals.iter().zip(&client).map(|(&v, &c)| ring.sub(ring.from_signed(v), c)).collect();
+        (client, server)
+    };
+    let (client, server) = share(raw);
+    let (res_client, res_server) = share(residual);
+    let masks: Vec<u64> = (0..raw.len()).map(|_| ring.random(&mut rng)).collect();
+    let client_bits = ring_words_to_bits(&[&client[..], &res_client, &masks].concat(), rb);
+    let server_bits = ring_words_to_bits(&[server, res_server].concat(), rb);
+    let out = bits_to_ring_words(&run(&circuit, &client_bits, &server_bits), rb);
+    let want = reference_step(kind, &spec, raw, residual);
+    for (i, (&o, &m)) in out.iter().zip(&masks).enumerate() {
+        let got = ring.to_signed(ring.add(o, m));
+        assert_eq!(got, want[i], "{fixed:?}: element {i}, raw input {}", raw[i]);
+    }
+}
+
 fn check_gelu_step(
     fixed: FixedSpec,
     t: u64,
     raw: &[i64],
     run: impl FnOnce(&Circuit, &[bool], &[bool]) -> Vec<bool>,
 ) {
-    let spec = PipelineSpec::new(Ring::new(t), fixed, 12);
-    let ring = spec.ring;
-    let rb = ring_bits(t);
-    let kind = GcStepKind::Gelu { elems: raw.len() };
-    let circuit = build_step_circuit(&kind, &spec, GcNumCfg { width: 48, frac: 12 });
-    let mut rng = seeded(0x6e2);
-    let client: Vec<u64> = (0..raw.len()).map(|_| ring.random(&mut rng)).collect();
-    let server: Vec<u64> =
-        raw.iter().zip(&client).map(|(&v, &c)| ring.sub(ring.from_signed(v), c)).collect();
-    let masks: Vec<u64> = (0..raw.len()).map(|_| ring.random(&mut rng)).collect();
-    let client_bits = ring_words_to_bits(&[&client[..], &masks[..]].concat(), rb);
-    let out_bits = run(&circuit, &client_bits, &ring_words_to_bits(&server, rb));
-    let out = bits_to_ring_words(&out_bits, rb);
-    let want = reference_step(&kind, &spec, raw, &[]);
-    for (i, (&o, &m)) in out.iter().zip(&masks).enumerate() {
-        assert_eq!(ring.to_signed(ring.add(o, m)), want[i], "{fixed:?}: raw input {}", raw[i]);
-    }
+    check_step(&GcStepKind::Gelu { elems: raw.len() }, fixed, t, raw, &[], run);
 }
 
 #[test]
@@ -263,15 +285,102 @@ fn gelu_step_equals_reference_on_every_value_at_the_paper_format() {
 #[test]
 fn garbled_gelu_step_equals_reference_on_every_value_at_the_test_format() {
     let (fixed, t) = (FixedSpec::new(12, 5), HeParams::test_2k_wide().t());
-    check_gelu_step(fixed, t, &every_gelu_input(fixed, t), |c, g_bits, e_bits| {
-        let (garbled, enc) = garble(c, &mut seeded(0x6e3));
-        let [gl, el] = input_labels(&enc, g_bits, e_bits);
-        evaluate(c, &garbled, &gl, &el)
-    });
+    check_gelu_step(fixed, t, &every_gelu_input(fixed, t), garbled_run);
+}
+
+/// Garbles `c` and evaluates it on the given bits.
+fn garbled_run(c: &Circuit, g_bits: &[bool], e_bits: &[bool]) -> Vec<bool> {
+    let (garbled, enc) = garble(c, &mut seeded(0x6e3));
+    let [gl, el] = input_labels(&enc, g_bits, e_bits);
+    evaluate(c, &garbled, &gl, &el)
+}
+
+const COLS: usize = 5;
+
+/// A SoftMax step over `rows` random rows of raw scores, and those
+/// scores: moderate rows, rows spread so wide that every exp but the
+/// largest underflows (probabilities 1 and 0), rows of equal scores and
+/// rows at the ring's edge, `±(t/2 − 1)`.
+fn softmax_case(fixed: FixedSpec, t: u64, rows: usize) -> (GcStepKind, Vec<i64>) {
+    let mut rng = seeded(0x50f);
+    let edge = (t / 2) as i64 - 1;
+    let moderate = 8i64 << (2 * fixed.frac());
+    let raw = (0..rows)
+        .flat_map(|r| {
+            let row: Vec<i64> = match r % 4 {
+                0 => (0..COLS).map(|_| rng.gen_range(-moderate..=moderate)).collect(),
+                1 => (0..COLS).map(|_| rng.gen_range(-edge..=edge)).collect(),
+                2 => vec![rng.gen_range(-moderate..=moderate); COLS],
+                _ => (0..COLS).map(|c| [edge, -edge, 0][(c + r) % 3]).collect(),
+            };
+            row
+        })
+        .collect();
+    let prescale = fxp::const_q(0.5, 12);
+    (GcStepKind::Softmax { rows, cols: COLS, prescale }, raw)
+}
+
+/// A LayerNormResidual step over `rows` random rows, its raw products
+/// and its residual stream: values across the format with random low
+/// product bits, products that saturate either way, and constant rows
+/// (variance ε only).
+fn layer_norm_case(fixed: FixedSpec, rows: usize) -> (GcStepKind, Vec<i64>, Vec<i64>) {
+    let mut rng = seeded(0x1a7);
+    let frac = fixed.frac();
+    let past = (fixed.max_raw() + 1) << frac;
+    let mut raw = Vec::with_capacity(rows * COLS);
+    let mut residual = Vec::with_capacity(rows * COLS);
+    let values = fixed.min_raw()..=fixed.max_raw();
+    for r in 0..rows {
+        for c in 0..COLS {
+            let (x, res) = match r % 3 {
+                0 => {
+                    let x = rng.gen_range(values.clone()) << frac;
+                    (x | rng.gen_range(0..1i64 << frac), rng.gen_range(values.clone()))
+                }
+                1 => ([past, -past - 1, 3 * past][c % 3], rng.gen_range(values.clone())),
+                _ => (fixed.max_raw() << frac, fixed.max_raw()),
+            };
+            raw.push(x);
+            residual.push(res);
+        }
+    }
+    let gamma = (0..COLS).map(|_| fxp::const_q(rng.gen_range(-2.0..2.0), 12)).collect();
+    let beta = (0..COLS).map(|_| fxp::const_q(rng.gen_range(-1.0..1.0), 12)).collect();
+    (GcStepKind::LayerNormResidual { rows, cols: COLS, gamma, beta }, raw, residual)
+}
+
+fn check_rows(fixed: FixedSpec, t: u64, rows: usize, garbled: bool) {
+    let run = |c: &Circuit, g: &[bool], e: &[bool]| {
+        if garbled {
+            garbled_run(c, g, e)
+        } else {
+            c.eval_plain(g, e)
+        }
+    };
+    let (softmax, scores) = softmax_case(fixed, t, rows);
+    check_step(&softmax, fixed, t, &scores, &[], run);
+    let (layer_norm, raw, residual) = layer_norm_case(fixed, rows);
+    check_step(&layer_norm, fixed, t, &raw, &residual, run);
+}
+
+#[test]
+fn softmax_and_layer_norm_steps_equal_reference_on_random_rows_at_the_test_format() {
+    check_rows(FixedSpec::new(12, 5), HeParams::test_2k_wide().t(), 96, false);
+}
+
+#[test]
+fn softmax_and_layer_norm_steps_equal_reference_on_random_rows_at_the_paper_format() {
+    check_rows(FixedSpec::paper(), HeParams::paper_8k().t(), 96, false);
+}
+
+#[test]
+fn garbled_softmax_and_layer_norm_steps_equal_reference_at_the_test_format() {
+    check_rows(FixedSpec::new(12, 5), HeParams::test_2k_wide().t(), 24, true);
 }
 
 proptest! {
-    /// `lookup` reads back every entry of a random table, whichever
+    /// A `Table` reads back every entry of a random table, whichever
     /// split it picks.
     #[test]
     fn lookup_reads_every_entry_of_a_random_table(
@@ -284,7 +393,7 @@ proptest! {
             (0..1usize << index_bits).map(|_| rng.gen_range(0..1u64 << out_bits)).collect();
         let mut b = CircuitBuilder::new();
         let index = b.garbler_input(index_bits);
-        let out = lookup(&mut b, &index, &table, out_bits);
+        let out = Table::new(&table).read(&mut b, &index);
         let c = b.build(&out);
         prop_assert_eq!(c.unreachable_gates(), 0);
         for (i, &want) in table.iter().enumerate() {

@@ -10,10 +10,10 @@
 //! * [`arith`] — ring (`Z_t`) gadgets: share reconstruction mod `t`,
 //!   centered lift, re-embedding, saturation (the paper's "adder and
 //!   multiplexer" modular circuits),
-//! * [`nonlinear`] — SoftMax / LayerNorm / exp circuits, gate for gate
-//!   bit-exact against `primer_math::fxp`, and the table gadget
-//!   [`nonlinear::lookup`], through which the GELU step reads its
-//!   reference — exact on every input by construction,
+//! * [`nonlinear`] — SoftMax / LayerNorm circuits bit-exact against
+//!   `primer_math::fxp`, and [`nonlinear::Table`], through which exp,
+//!   recip, rsqrt and the GELU step read the reference itself — exact on
+//!   every input by construction,
 //! * [`garble`] — half-gates garbling and evaluation over a fixed-key
 //!   AES-128 hash ([`aes`]: AES-NI where the CPU has it, a byte-wise
 //!   software body elsewhere), tables written into and read from the

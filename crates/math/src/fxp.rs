@@ -3,8 +3,10 @@
 //! These functions are the *single source of truth* for how SoftMax, GELU
 //! and LayerNorm are computed in fixed point: the plaintext fixed-point
 //! reference in `primer-nn` calls them directly, and the garbled-circuit
-//! generators in `primer-gc` implement the **same dataflow gate-by-gate**,
-//! so that private inference is bit-exact against the reference.
+//! generators in `primer-gc` either implement the **same dataflow
+//! gate-by-gate** or read these functions' own outputs from tables built
+//! with the circuit (exp, recip, rsqrt, GELU), so that private inference
+//! is bit-exact against the reference.
 //!
 //! Every algorithm uses only operations with a direct circuit realization:
 //! add/sub, multiply + arithmetic right shift (`mul_q`), comparisons,

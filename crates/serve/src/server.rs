@@ -807,10 +807,9 @@ fn fresh_session(
         peer,
         id,
     );
-    match &result {
-        Ok(SessionOutcome::Completed) => live.set_state(SessionState::Completed),
-        Ok(SessionOutcome::Suspended) => {} // state already stamped
-        Err(_) => live.set_state(SessionState::Failed),
+    // A completed or suspended session has stamped its own state.
+    if result.is_err() {
+        live.set_state(SessionState::Failed);
     }
     result
 }
@@ -1024,7 +1023,6 @@ fn resume_session(
     match &result {
         Ok(SessionOutcome::Completed) => {
             conclude(shared, &live, token, peer, header.variant, false, &progress, &*control);
-            live.set_state(SessionState::Completed);
         }
         Ok(SessionOutcome::Suspended) => {}
         Err(_) => live.set_state(SessionState::Failed),
@@ -1172,7 +1170,10 @@ fn join_producer(
     Ok(())
 }
 
-/// Sends the end-of-session summary and files the registry record.
+/// Marks the session completed, sends the end-of-session summary and
+/// files the registry record. The state goes first: a client that has
+/// read the summary may poll `/stats` at once, and must find its session
+/// completed.
 #[allow(clippy::too_many_arguments)]
 fn conclude(
     shared: &ServerShared,
@@ -1184,7 +1185,7 @@ fn conclude(
     progress: &ServeProgress,
     control: &dyn MeteredTransport,
 ) {
-    let _ = live;
+    live.set_state(SessionState::Completed);
     let threads = rayon::current_num_threads();
     control.send(
         &SessionSummary {

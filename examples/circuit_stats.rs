@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 /// ANDs a test-tiny Primer-FPC query may garble (ROADMAP item 3's GC
 /// budget): a gadget change that re-inflates a step fails the check.
-const FPC_QUERY_AND_BOUND: usize = 2_000_000;
+const FPC_QUERY_AND_BOUND: usize = 1_000_000;
 
 fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let check = std::env::args().skip(1).any(|a| a == "--check");
