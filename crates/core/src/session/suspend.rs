@@ -432,11 +432,30 @@ mod tests {
         (sys, fixed, circuits, queries)
     }
 
+    /// 64-bit FNV-1a of an image's bytes with its measured accounting
+    /// zeroed: the setup's compute time, and each bundle's per-step
+    /// costs and traffic (a pipelined bundle's byte attribution depends
+    /// on how the two producers interleave). The rest of the image is a
+    /// function of the session's seeds alone.
+    fn accounting_free_digest(ctx: &HeContext, bytes: &[u8]) -> u64 {
+        let mut image = ServerSuspendImage::from_bytes(ctx, bytes).expect("decode");
+        image.setup_cost.compute = Duration::ZERO;
+        for b in &mut image.bundles {
+            b.steps = StepBreakdown::new();
+            b.traffic = TrafficSnapshot::default();
+        }
+        image.to_bytes().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     /// Runs a pipelined two-party session over in-memory channels,
     /// optionally suspending both halves after `SUSPEND_AT` queries —
     /// the server through a full image byte roundtrip (simulating a
     /// restart), the client in memory — and resuming for the rest.
-    fn run(variant: ProtocolVariant, interrupt: bool) -> Vec<Vec<i64>> {
+    /// Returns the logits and, when interrupted, the image's
+    /// [`accounting_free_digest`].
+    fn run(variant: ProtocolVariant, interrupt: bool) -> (Vec<Vec<i64>>, Option<u64>) {
         let (sys, fixed, circuits, queries) = fixture(variant);
         let (c_on, s_on, _) = MemTransport::pair();
         let (c_off, s_off, _) = MemTransport::pair();
@@ -459,6 +478,7 @@ mod tests {
                     let image = online.suspend().expect("suspend");
                     producer.join().expect("producer thread").expect("producer");
                     let bytes = image.to_bytes();
+                    let digest = accounting_free_digest(&sys.he, &bytes);
                     let image = ServerSuspendImage::from_bytes(&sys.he, &bytes).expect("decode");
                     assert_eq!(image.remaining(), QUERIES - SUSPEND_AT);
                     let mut online =
@@ -466,11 +486,13 @@ mod tests {
                     for _ in SUSPEND_AT..QUERIES {
                         online.serve_one(&s_on).expect("serve resumed");
                     }
+                    Some(digest)
                 } else {
                     for _ in SUSPEND_AT..QUERIES {
                         online.serve_one(&s_on).expect("serve");
                     }
                     producer.join().expect("producer thread").expect("producer");
+                    None
                 }
             })
         };
@@ -498,18 +520,25 @@ mod tests {
             }
             producer.join().expect("producer thread").expect("producer");
         }
-        server.join().expect("server thread");
-        logits
+        let digest = server.join().expect("server thread");
+        (logits, digest)
     }
 
     #[test]
     fn suspend_resume_is_bit_identical_f() {
-        assert_eq!(run(ProtocolVariant::F, true), run(ProtocolVariant::F, false));
+        assert_eq!(run(ProtocolVariant::F, true).0, run(ProtocolVariant::F, false).0);
     }
 
     #[test]
     fn suspend_resume_is_bit_identical_fpc() {
-        assert_eq!(run(ProtocolVariant::Fpc, true), run(ProtocolVariant::Fpc, false));
+        assert_eq!(run(ProtocolVariant::Fpc, true).0, run(ProtocolVariant::Fpc, false).0);
+    }
+
+    /// The image's bytes, pinned (up to its measured durations): a codec
+    /// refactor must not move one.
+    #[test]
+    fn image_matches_golden_digest() {
+        assert_eq!(run(ProtocolVariant::Fpc, true).1, Some(0x5490_d7b3_257c_46b1));
     }
 
     #[test]
