@@ -161,7 +161,7 @@ impl FhgsServer {
     /// holds one-time secrets either way, so it is only as private as
     /// the directory it lands in.
     pub(crate) fn suspend_write(&self, out: &mut Vec<u8>) {
-        use crate::serial::{put_u32, write_cts, write_matz, write_packed};
+        use crate::wire::{put_u32, write_cts, write_matz, write_packed};
         match &self.triple {
             Triple::Diag { enc_rc_a, enc_rc_bt, enc_ab } => {
                 out.push(0);
@@ -191,10 +191,10 @@ impl FhgsServer {
     ///
     /// [`primer_he::HeError::Malformed`] on truncated or foreign bytes.
     pub(crate) fn suspend_read(
-        r: &mut crate::serial::Rdr,
+        r: &mut crate::wire::Rdr,
         ctx: &HeContext,
     ) -> Result<Self, primer_he::HeError> {
-        use crate::serial::{read_cts, read_matz, read_packed};
+        use crate::wire::{read_cts, read_matz, read_packed};
         let triple = match r.u8("fhgs triple tag")? {
             0 => Triple::Diag {
                 enc_rc_a: read_packed(r, ctx)?,

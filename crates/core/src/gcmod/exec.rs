@@ -338,9 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_gelu_steps_simulated() {
+    fn gelu_step_simulated() {
         let raw: Vec<i64> = vec![5000, -5000, 64, -64, 0, 20_000];
-        check_step(GcStepKind::Relu { elems: 6 }, raw.clone(), vec![], GcMode::Simulated);
         check_step(GcStepKind::Gelu { elems: 6 }, raw, vec![], GcMode::Simulated);
     }
 
@@ -382,7 +381,6 @@ mod tests {
         let residual: Vec<i64> = (0..12).map(|i| (i * 53 % 97 - 40) << 2).collect();
         let kinds = [
             (GcStepKind::TruncSat { elems: 3 }, &products[..3], &[][..]),
-            (GcStepKind::Relu { elems: 3 }, &products[3..6], &[][..]),
             (GcStepKind::Gelu { elems: 3 }, &products[6..9], &[][..]),
             (
                 GcStepKind::Softmax { rows: 3, cols: 4, prescale: fxp::const_q(0.5, 12) },

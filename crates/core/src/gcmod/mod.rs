@@ -26,11 +26,6 @@ pub enum GcStepKind {
         /// Number of matrix elements.
         elems: usize,
     },
-    /// Truncate then ReLU (kept for ablations; BERT uses GELU).
-    Relu {
-        /// Number of matrix elements.
-        elems: usize,
-    },
     /// Truncate then GELU (feed-forward activation).
     Gelu {
         /// Number of matrix elements.
@@ -63,9 +58,7 @@ impl GcStepKind {
     /// Primary input elements (shares held by both parties).
     pub fn elems(&self) -> usize {
         match self {
-            GcStepKind::TruncSat { elems }
-            | GcStepKind::Relu { elems }
-            | GcStepKind::Gelu { elems } => *elems,
+            GcStepKind::TruncSat { elems } | GcStepKind::Gelu { elems } => *elems,
             GcStepKind::Softmax { rows, cols, .. } => rows * cols,
             GcStepKind::LayerNormResidual { rows, cols, .. } => rows * cols,
         }
@@ -81,9 +74,7 @@ impl GcStepKind {
     /// every row of a LayerNorm is the same circuit.
     fn unit_shape(&self) -> (usize, usize) {
         match self {
-            GcStepKind::TruncSat { elems }
-            | GcStepKind::Relu { elems }
-            | GcStepKind::Gelu { elems } => (1, *elems),
+            GcStepKind::TruncSat { elems } | GcStepKind::Gelu { elems } => (1, *elems),
             GcStepKind::Softmax { rows, cols, .. }
             | GcStepKind::LayerNormResidual { rows, cols, .. } => (*cols, *rows),
         }
@@ -137,13 +128,6 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
 
     let results: Vec<Word> = match kind {
         GcStepKind::TruncSat { .. } => lifted.iter().map(|v| trunc_sat(&mut b, v)).collect(),
-        GcStepKind::Relu { .. } => lifted
-            .iter()
-            .map(|v| {
-                let tr = trunc_sat(&mut b, v);
-                relu(&mut b, &tr)
-            })
-            .collect(),
         GcStepKind::Gelu { .. } => {
             let table = GeluTable::new(spec);
             lifted
@@ -275,9 +259,6 @@ pub fn reference_step(kind: &GcStepKind, spec: &PipelineSpec, raw: &[i64], resid
     let f = spec.fixed;
     match kind {
         GcStepKind::TruncSat { .. } => raw.iter().map(|&v| f.truncate_product(v)).collect(),
-        GcStepKind::Relu { .. } => {
-            raw.iter().map(|&v| fxp::relu(f.truncate_product(v))).collect()
-        }
         GcStepKind::Gelu { .. } => raw.iter().map(|&v| spec.gelu(f.truncate_product(v))).collect(),
         GcStepKind::Softmax { rows, cols, prescale } => {
             let mut out = Vec::with_capacity(rows * cols);

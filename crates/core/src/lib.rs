@@ -15,7 +15,8 @@
 //! * [`costmodel`] — analytic extrapolation to paper-scale latencies
 //!   (Tables I–III, Fig. 2) plus the THE-X and GCFormer baselines,
 //! * [`system`], [`stats`], [`wire`] — configuration, Table II + phase
-//!   accounting, transport framing.
+//!   accounting, and the one byte codec (flights, suspend images,
+//!   control frames).
 //!
 //! The repository-level integration tests assert the headline invariant:
 //! for every protocol variant, the private inference output equals the
@@ -27,7 +28,6 @@ pub mod fhgs;
 pub mod gcmod;
 pub mod hgs;
 pub mod packing;
-mod serial;
 pub mod session;
 pub mod stats;
 pub mod system;

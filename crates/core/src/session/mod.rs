@@ -84,6 +84,21 @@ impl ProtocolVariant {
         [ProtocolVariant::Base, ProtocolVariant::F, ProtocolVariant::Fp, ProtocolVariant::Fpc]
     }
 
+    /// The variant's byte on the wire and in suspend images.
+    pub fn code(&self) -> u8 {
+        match self {
+            ProtocolVariant::Base => 0,
+            ProtocolVariant::F => 1,
+            ProtocolVariant::Fp => 2,
+            ProtocolVariant::Fpc => 3,
+        }
+    }
+
+    /// The variant [`ProtocolVariant::code`] maps to `c`, if any.
+    pub fn from_code(c: u8) -> Option<Self> {
+        Self::all().into_iter().find(|v| v.code() == c)
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {

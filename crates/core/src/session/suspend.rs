@@ -36,14 +36,16 @@ use super::pool::SharedPool;
 use super::server::{ServerCore, ServerOnline};
 use super::ProtocolVariant;
 use crate::gcmod::{GcMode, GcServerStep};
-use crate::serial::{put_bytes, put_u32, put_u64, read_matz, write_matz, Rdr};
 use crate::stats::{PhaseCost, StepBreakdown, StepCategory};
 use crate::system::SystemConfig;
+use crate::wire::{
+    decode, put_bytes, put_phase_cost, put_traffic, put_u32, put_u64, read_matz,
+    read_phase_cost, read_traffic, write_matz, Rdr, WireError,
+};
 use primer_gc::Circuit;
 use primer_he::{BatchEncoder, Evaluator, GaloisKeys, HeContext, HeError, OpCounts};
 use primer_net::TrafficSnapshot;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Suspend-image format version (bump on any layout change; resume
 /// rejects versions it does not know instead of misreading them).
@@ -82,23 +84,13 @@ impl From<HeError> for SuspendError {
     }
 }
 
-fn variant_code(v: ProtocolVariant) -> u8 {
-    match v {
-        ProtocolVariant::Base => 0,
-        ProtocolVariant::F => 1,
-        ProtocolVariant::Fp => 2,
-        ProtocolVariant::Fpc => 3,
+impl From<WireError> for SuspendError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Short { .. } => SuspendError::Malformed(e.into()),
+            WireError::Trailing => SuspendError::BadImage("trailing bytes"),
+        }
     }
-}
-
-fn variant_from_code(c: u8) -> Result<ProtocolVariant, SuspendError> {
-    Ok(match c {
-        0 => ProtocolVariant::Base,
-        1 => ProtocolVariant::F,
-        2 => ProtocolVariant::Fp,
-        3 => ProtocolVariant::Fpc,
-        _ => return Err(SuspendError::BadImage("variant code")),
-    })
 }
 
 /// A server session parked between queries: everything needed to build
@@ -129,9 +121,9 @@ impl ServerSuspendImage {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, SUSPEND_FORMAT_VERSION);
-        out.push(variant_code(self.variant));
-        write_phase_cost(&mut out, &self.setup_cost);
-        write_traffic(&mut out, &self.wire_mark);
+        out.push(self.variant.code());
+        put_phase_cost(&mut out, &self.setup_cost);
+        put_traffic(&mut out, &self.wire_mark);
         put_bytes(&mut out, &self.gk_bytes);
         put_u32(&mut out, self.bundles.len() as u32);
         for b in &self.bundles {
@@ -146,24 +138,19 @@ impl ServerSuspendImage {
     ///
     /// [`SuspendError`] on an unknown format version or corrupt bytes.
     pub fn from_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<Self, SuspendError> {
-        let mut r = Rdr::new(bytes);
-        let version = r.u32("suspend version")?;
-        if version != SUSPEND_FORMAT_VERSION {
-            return Err(SuspendError::BadImage("unknown suspend format version"));
-        }
-        let variant = variant_from_code(r.u8("suspend variant")?)?;
-        let setup_cost = read_phase_cost(&mut r)?;
-        let wire_mark = read_traffic(&mut r)?;
-        let gk_bytes = r.bytes("galois keys")?.to_vec();
-        let count = r.u32("bundle count")? as usize;
-        let mut bundles = Vec::new();
-        for _ in 0..count {
-            bundles.push(read_bundle(&mut r, ctx)?);
-        }
-        if !r.is_done() {
-            return Err(SuspendError::BadImage("trailing bytes"));
-        }
-        Ok(Self { variant, setup_cost, wire_mark, gk_bytes, bundles })
+        decode(bytes, |r| {
+            if r.u32("suspend version")? != SUSPEND_FORMAT_VERSION {
+                return Err(SuspendError::BadImage("unknown suspend format version"));
+            }
+            let variant = ProtocolVariant::from_code(r.u8("suspend variant")?)
+                .ok_or(SuspendError::BadImage("variant code"))?;
+            let setup_cost = read_phase_cost(r)?;
+            let wire_mark = read_traffic(r)?;
+            let gk_bytes = r.bytes("galois keys")?.to_vec();
+            let count = r.u32("bundle count")?;
+            let bundles = (0..count).map(|_| read_bundle(r, ctx)).collect::<Result<_, _>>()?;
+            Ok(Self { variant, setup_cost, wire_mark, gk_bytes, bundles })
+        })
     }
 
     /// Rebuilds a servable online half from this image: a fresh
@@ -234,47 +221,17 @@ pub(crate) fn suspend_server_online(
     })
 }
 
-fn write_phase_cost(out: &mut Vec<u8>, p: &PhaseCost) {
-    put_u64(out, p.compute.as_nanos() as u64);
-    put_u64(out, p.bytes);
-    put_u64(out, p.messages);
-}
-
-fn read_phase_cost(r: &mut Rdr) -> Result<PhaseCost, HeError> {
-    Ok(PhaseCost {
-        compute: Duration::from_nanos(r.u64("phase compute")?),
-        bytes: r.u64("phase bytes")?,
-        messages: r.u64("phase messages")?,
-    })
-}
-
-fn write_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
-    put_u64(out, t.c2s_bytes);
-    put_u64(out, t.s2c_bytes);
-    put_u64(out, t.c2s_messages);
-    put_u64(out, t.s2c_messages);
-}
-
-fn read_traffic(r: &mut Rdr) -> Result<TrafficSnapshot, HeError> {
-    Ok(TrafficSnapshot {
-        c2s_bytes: r.u64("traffic")?,
-        s2c_bytes: r.u64("traffic")?,
-        c2s_messages: r.u64("traffic")?,
-        s2c_messages: r.u64("traffic")?,
-    })
-}
-
 fn write_steps(out: &mut Vec<u8>, steps: &StepBreakdown) {
     // Fixed category order (`StepCategory::all`): codes are positional.
     for cat in StepCategory::all() {
         let (off, on) = steps.get(cat);
-        write_phase_cost(out, &off);
-        write_phase_cost(out, &on);
+        put_phase_cost(out, &off);
+        put_phase_cost(out, &on);
     }
-    write_phase_cost(out, &steps.setup());
+    put_phase_cost(out, &steps.setup());
 }
 
-fn read_steps(r: &mut Rdr) -> Result<StepBreakdown, HeError> {
+fn read_steps(r: &mut Rdr) -> Result<StepBreakdown, WireError> {
     let mut steps = StepBreakdown::new();
     for cat in StepCategory::all() {
         let off = read_phase_cost(r)?;
@@ -296,7 +253,7 @@ fn write_he(out: &mut Vec<u8>, h: &OpCounts) {
     }
 }
 
-fn read_he(r: &mut Rdr) -> Result<OpCounts, HeError> {
+fn read_he(r: &mut Rdr) -> Result<OpCounts, WireError> {
     Ok(OpCounts {
         rotations: r.u64("he ops")?,
         mul_plain: r.u64("he ops")?,
@@ -318,7 +275,7 @@ fn write_matz_vec(out: &mut Vec<u8>, ms: &[primer_math::MatZ]) {
     }
 }
 
-fn read_matz_vec(r: &mut Rdr) -> Result<Vec<primer_math::MatZ>, HeError> {
+fn read_matz_vec(r: &mut Rdr) -> Result<Vec<primer_math::MatZ>, WireError> {
     let count = r.u32("matrix count")? as usize;
     (0..count).map(|_| read_matz(r)).collect()
 }
@@ -383,7 +340,7 @@ fn write_bundle(out: &mut Vec<u8>, b: &ServerBundle) {
     put_u32(out, b.gc.len() as u32);
     write_steps(out, &b.steps);
     write_he(out, &b.he);
-    write_traffic(out, &b.traffic);
+    put_traffic(out, &b.traffic);
 }
 
 fn read_bundle(r: &mut Rdr, ctx: &HeContext) -> Result<ServerBundle, HeError> {
@@ -412,6 +369,7 @@ mod tests {
     use primer_math::rng::seeded;
     use primer_net::MemTransport;
     use primer_nn::{FixedTransformer, TransformerConfig, TransformerWeights};
+    use std::time::Duration;
 
     const QUERIES: usize = 4;
     const SUSPEND_AT: usize = 2;

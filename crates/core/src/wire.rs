@@ -1,26 +1,280 @@
-//! Transport framing for ciphertext batches, ring matrices and key
-//! material.
+//! The byte codec: every flight, suspend image and control frame.
 //!
-//! Every receive in this module is `Result`-typed: flights arrive from
-//! the network, so truncated or forged bytes must surface as
-//! [`HeError::Malformed`] and fail the *session* (the serving worker
-//! maps the error to a closed connection), never panic the process.
-//! Header fields (counts, dimensions) are validated against the actual
-//! byte length — with overflow-checked arithmetic — before any slicing
-//! or allocation sized by them.
+//! A record is little-endian and length-checked, and this module is the
+//! one place that knows how. Writers append to a `Vec<u8>` (`put_*` for
+//! scalars, `write_*` for records); the one reader is the checked
+//! cursor [`Rdr`], and [`decode`] runs a reader over a whole buffer and
+//! refuses bytes it leaves unread. Header fields (counts, dimensions)
+//! are checked against the bytes actually present — overflow-checked —
+//! before anything is sliced or allocated by them, so a forged header
+//! cannot panic the process or trigger a huge allocation.
+//!
+//! A read fails in two ways, a short buffer or leftover bytes, both as
+//! a [`WireError`] naming the field. It converts with `From` into each
+//! caller's own error: [`HeError::Malformed`] for the flights and the
+//! suspend image here, and the serving layer's `ProtoError` for its
+//! control frames and suspend files — so `?` works on both sides.
+//!
+//! The `send_*` / `recv_*` functions frame protocol flights on a
+//! [`Transport`]: every receive is `Result`-typed, because flights
+//! arrive from the network and truncated or forged bytes must fail the
+//! *session* (the serving worker maps the error to a closed
+//! connection), never the process.
 
-use crate::packing::{Layout, PackedMatrix};
+use crate::packing::{Layout, Packing, PackedMatrix};
+use crate::stats::PhaseCost;
 use primer_he::{Ciphertext, GaloisKeys, HeContext, HeError};
 use primer_math::MatZ;
-use primer_net::Transport;
+use primer_net::{TrafficSnapshot, Transport};
+use std::time::Duration;
+
+/// Why a record did not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The buffer ended inside the named field.
+    Short {
+        /// The field being read.
+        what: &'static str,
+    },
+    /// Bytes were left after the record's last field.
+    Trailing,
+}
+
+impl From<WireError> for HeError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Short { what } => HeError::Malformed { what },
+            WireError::Trailing => HeError::Malformed { what: "trailing bytes" },
+        }
+    }
+}
+
+// ---- writers ---------------------------------------------------------------
+
+/// Appends a `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a byte string behind a `u64` length ([`Rdr::bytes`]).
+pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Appends a traffic snapshot as its four counters.
+pub fn put_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
+    for v in [t.c2s_bytes, t.s2c_bytes, t.c2s_messages, t.s2c_messages] {
+        put_u64(out, v);
+    }
+}
+
+/// Appends a phase cost as compute nanoseconds, bytes and messages.
+pub fn put_phase_cost(out: &mut Vec<u8>, p: &PhaseCost) {
+    for v in [p.compute.as_nanos() as u64, p.bytes, p.messages] {
+        put_u64(out, v);
+    }
+}
+
+// ---- the reader ------------------------------------------------------------
+
+/// Checked cursor over one record's bytes.
+pub struct Rdr<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+/// Decodes one whole record with `f`. Bytes `f` leaves unread are
+/// [`WireError::Trailing`], not ignored.
+///
+/// # Errors
+///
+/// Whatever `f` returns, or the trailing-bytes error converted to `E`.
+pub fn decode<'a, T, E: From<WireError>>(
+    bytes: &'a [u8],
+    f: impl FnOnce(&mut Rdr<'a>) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut r = Rdr { buf: bytes, pos: 0 };
+    let value = f(&mut r)?;
+    if r.pos != r.buf.len() {
+        return Err(WireError::Trailing.into());
+    }
+    Ok(value)
+}
+
+/// Every read names its field and fails with [`WireError::Short`] when
+/// the buffer ends inside it.
+impl<'a> Rdr<'a> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+        let short = WireError::Short { what };
+        let end = self.pos.checked_add(n).ok_or(short)?;
+        let s = self.buf.get(self.pos..end).ok_or(short)?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N, what)?);
+        Ok(a)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// A byte string written by [`put_bytes`].
+    pub(crate) fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], WireError> {
+        let len = self.u64(what)?;
+        self.take(usize::try_from(len).unwrap_or(usize::MAX), what)
+    }
+
+    /// The bytes not yet read, for decoders that report their own use
+    /// (consume it with [`Rdr::take`]).
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+}
+
+/// Reads what [`put_traffic`] writes.
+pub fn read_traffic(r: &mut Rdr) -> Result<TrafficSnapshot, WireError> {
+    Ok(TrafficSnapshot {
+        c2s_bytes: r.u64("traffic")?,
+        s2c_bytes: r.u64("traffic")?,
+        c2s_messages: r.u64("traffic")?,
+        s2c_messages: r.u64("traffic")?,
+    })
+}
+
+/// Reads what [`put_phase_cost`] writes.
+pub fn read_phase_cost(r: &mut Rdr) -> Result<PhaseCost, WireError> {
+    Ok(PhaseCost {
+        compute: Duration::from_nanos(r.u64("phase compute")?),
+        bytes: r.u64("phase bytes")?,
+        messages: r.u64("phase messages")?,
+    })
+}
+
+// ---- matrices, ciphertexts, packed matrices --------------------------------
+
+pub(crate) fn write_matz(out: &mut Vec<u8>, m: &MatZ) {
+    put_u32(out, m.rows() as u32);
+    put_u32(out, m.cols() as u32);
+    for &v in m.as_slice() {
+        put_u64(out, v);
+    }
+}
+
+pub(crate) fn read_matz(r: &mut Rdr) -> Result<MatZ, WireError> {
+    let rows = r.u32("matrix rows")? as usize;
+    let cols = r.u32("matrix cols")? as usize;
+    // A shape whose byte size overflows cannot be present either.
+    let n = rows.checked_mul(cols).and_then(|n| n.checked_mul(8)).unwrap_or(usize::MAX);
+    let data = r
+        .take(n, "matrix data")?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
+        .collect();
+    Ok(MatZ::from_vec(rows, cols, data))
+}
+
+pub(crate) fn write_cts(out: &mut Vec<u8>, cts: &[Ciphertext]) {
+    put_u32(out, cts.len() as u32);
+    for ct in cts {
+        out.extend_from_slice(&ct.to_bytes());
+    }
+}
+
+/// The output grows one decoded ciphertext at a time, so a forged count
+/// cannot trigger a huge up-front allocation.
+pub(crate) fn read_cts(r: &mut Rdr, ctx: &HeContext) -> Result<Vec<Ciphertext>, HeError> {
+    let count = r.u32("ciphertext count")?;
+    let mut cts = Vec::new();
+    for _ in 0..count {
+        let (ct, used) = Ciphertext::from_bytes(ctx, r.rest())?;
+        r.take(used, "ciphertext")?;
+        cts.push(ct);
+    }
+    Ok(cts)
+}
+
+fn packing_code(p: Packing) -> u8 {
+    match p {
+        Packing::FeatureBased => 0,
+        Packing::TokensFirst => 1,
+    }
+}
+
+fn packing_from_code(c: u8) -> Result<Packing, HeError> {
+    match c {
+        0 => Ok(Packing::FeatureBased),
+        1 => Ok(Packing::TokensFirst),
+        _ => Err(HeError::Malformed { what: "packing code" }),
+    }
+}
+
+fn write_layout(out: &mut Vec<u8>, l: &Layout) {
+    out.push(packing_code(l.packing));
+    for v in [l.rows, l.cols, l.simd, l.pad, l.num_cts] {
+        put_u32(out, v as u32);
+    }
+}
+
+fn read_layout(r: &mut Rdr) -> Result<Layout, HeError> {
+    Ok(Layout {
+        packing: packing_from_code(r.u8("layout packing")?)?,
+        rows: r.u32("layout rows")? as usize,
+        cols: r.u32("layout cols")? as usize,
+        simd: r.u32("layout simd")? as usize,
+        pad: r.u32("layout pad")? as usize,
+        num_cts: r.u32("layout num_cts")? as usize,
+    })
+}
+
+/// A packed matrix with its layout (the suspend image's form; a flight
+/// carries only the ciphertexts, see [`send_packed`]).
+pub(crate) fn write_packed(out: &mut Vec<u8>, m: &PackedMatrix) {
+    write_layout(out, &m.layout);
+    write_cts(out, &m.cts);
+}
+
+pub(crate) fn read_packed(r: &mut Rdr, ctx: &HeContext) -> Result<PackedMatrix, HeError> {
+    let layout = read_layout(r)?;
+    packed(layout, read_cts(r, ctx)?)
+}
+
+/// Pairs ciphertexts with the layout they must fill.
+fn packed(layout: Layout, cts: Vec<Ciphertext>) -> Result<PackedMatrix, HeError> {
+    if cts.len() != layout.num_cts {
+        return Err(HeError::Malformed { what: "packed matrix ciphertext count" });
+    }
+    Ok(PackedMatrix { layout, cts })
+}
+
+// ---- flights ---------------------------------------------------------------
 
 /// Sends a batch of ciphertexts as one message.
 pub fn send_cts(t: &dyn Transport, cts: &[Ciphertext]) {
     let mut out = Vec::new();
-    out.extend_from_slice(&(cts.len() as u32).to_le_bytes());
-    for ct in cts {
-        out.extend_from_slice(&ct.to_bytes());
-    }
+    write_cts(&mut out, cts);
     t.send_owned(out);
 }
 
@@ -29,23 +283,10 @@ pub fn send_cts(t: &dyn Transport, cts: &[Ciphertext]) {
 /// # Errors
 ///
 /// [`HeError::Malformed`] on a truncated header, truncated or corrupt
-/// ciphertext bytes, or a forged count pointing past the flight. The
-/// output vector grows one decoded ciphertext at a time, so a forged
-/// count cannot trigger a huge up-front allocation either.
+/// ciphertext bytes, a forged count pointing past the flight, or bytes
+/// after the last ciphertext.
 pub fn recv_cts(t: &dyn Transport, ctx: &HeContext) -> Result<Vec<Ciphertext>, HeError> {
-    let bytes = t.recv();
-    if bytes.len() < 4 {
-        return Err(HeError::Malformed { what: "ciphertext batch header" });
-    }
-    let count = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice")) as usize;
-    let mut off = 4;
-    let mut cts = Vec::new();
-    for _ in 0..count {
-        let (ct, used) = Ciphertext::from_bytes(ctx, &bytes[off..])?;
-        off += used;
-        cts.push(ct);
-    }
-    Ok(cts)
+    decode(&t.recv(), |r| read_cts(r, ctx))
 }
 
 /// Sends a packed matrix (layout is public and known to both sides, so
@@ -65,21 +306,13 @@ pub fn recv_packed(
     ctx: &HeContext,
     layout: Layout,
 ) -> Result<PackedMatrix, HeError> {
-    let cts = recv_cts(t, ctx)?;
-    if cts.len() != layout.num_cts {
-        return Err(HeError::Malformed { what: "packed matrix ciphertext count" });
-    }
-    Ok(PackedMatrix { layout, cts })
+    packed(layout, recv_cts(t, ctx)?)
 }
 
 /// Sends a ring matrix in the clear (shares and masked values only!).
 pub fn send_matrix(t: &dyn Transport, m: &MatZ) {
-    let mut out = Vec::with_capacity(16 + m.rows() * m.cols() * 8);
-    out.extend_from_slice(&(m.rows() as u32).to_le_bytes());
-    out.extend_from_slice(&(m.cols() as u32).to_le_bytes());
-    for v in m.iter() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(8 + m.as_slice().len() * 8);
+    write_matz(&mut out, m);
     t.send_owned(out);
 }
 
@@ -90,28 +323,7 @@ pub fn send_matrix(t: &dyn Transport, m: &MatZ) {
 /// [`HeError::Malformed`] on a truncated header or a `rows × cols`
 /// (overflow-checked) that does not match the payload length.
 pub fn recv_matrix(t: &dyn Transport) -> Result<MatZ, HeError> {
-    let bytes = t.recv();
-    if bytes.len() < 8 {
-        return Err(HeError::Malformed { what: "matrix header" });
-    }
-    let rows = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte slice")) as usize;
-    let cols = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice")) as usize;
-    let elems = rows
-        .checked_mul(cols)
-        .ok_or(HeError::Malformed { what: "matrix dimensions" })?;
-    let need = elems
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(8))
-        .ok_or(HeError::Malformed { what: "matrix dimensions" })?;
-    if bytes.len() != need {
-        return Err(HeError::Malformed { what: "matrix payload length" });
-    }
-    let mut data = Vec::with_capacity(elems);
-    for i in 0..elems {
-        let s = 8 + i * 8;
-        data.push(u64::from_le_bytes(bytes[s..s + 8].try_into().expect("8-byte slice")));
-    }
-    Ok(MatZ::from_vec(rows, cols, data))
+    decode(&t.recv(), |r| Ok(read_matz(r)?))
 }
 
 /// Sends the client's Galois keys as real serialized bytes (the one-time
@@ -173,6 +385,46 @@ mod tests {
             move |t| send_matrix(&t, &m2),
         );
         assert_eq!(got, m);
+    }
+
+    #[test]
+    fn matz_roundtrip() {
+        let m = MatZ::from_vec(2, 3, vec![1, 2, 3, 4, 5, u64::MAX]);
+        let mut out = Vec::new();
+        write_matz(&mut out, &m);
+        let back: MatZ = decode(&out, read_matz).expect("decode");
+        assert_eq!(back.rows(), 2);
+        assert_eq!(back.cols(), 3);
+        assert_eq!(back.as_slice(), m.as_slice());
+    }
+
+    #[test]
+    fn truncated_matz_is_malformed() {
+        let m = MatZ::from_vec(2, 2, vec![9, 8, 7, 6]);
+        let mut out = Vec::new();
+        write_matz(&mut out, &m);
+        out.pop();
+        assert_eq!(
+            decode(&out, read_matz).err(),
+            Some(WireError::Short { what: "matrix data" })
+        );
+    }
+
+    #[test]
+    fn bytes_roundtrip() {
+        let mut out = Vec::new();
+        put_bytes(&mut out, b"suspend");
+        put_u32(&mut out, 7);
+        let (blob, tail) = decode(&out, |r| Ok::<_, WireError>((r.bytes("blob")?, r.u32("tail")?)))
+            .expect("decode");
+        assert_eq!(blob, b"suspend");
+        assert_eq!(tail, 7);
+        out.push(0);
+        let trailing = decode(&out, |r| {
+            r.bytes("blob")?;
+            r.u32("tail")
+        });
+        assert_eq!(trailing.err(), Some(WireError::Trailing));
     }
 
     /// Every way an attacker can mangle a matrix flight must come back
@@ -257,12 +509,18 @@ mod tests {
             b[..4].copy_from_slice(&9u32.to_le_bytes());
             b
         };
+        let trailing = {
+            let mut b = good.clone();
+            b.push(0);
+            b
+        };
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("empty flight", vec![]),
             ("truncated header", vec![2, 0]),
             ("count with no payload", 4u32.to_le_bytes().to_vec()),
             ("truncated ciphertext", truncated),
             ("forged count past the flight", forged_count),
+            ("trailing byte", trailing),
         ];
         for (what, payload) in cases {
             let got = recv_forged(payload, ctx.clone());

@@ -49,4 +49,4 @@ pub use nonblock::NbConn;
 pub use recording::{RecordingTransport, TranscriptHandle};
 pub use shaped::{LinkShaper, ShapedTransport};
 pub use tcp::{TcpConnection, TcpTransport};
-pub use transport::{wire, MeteredTransport, PollRecv, Transport};
+pub use transport::{MeteredTransport, PollRecv, Transport};

@@ -208,18 +208,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::wire;
 
     #[test]
     fn ping_pong() {
         let (c, s, meter) = MemTransport::pair();
         let h = std::thread::spawn(move || {
             let msg = s.recv();
-            let vals = wire::decode_u64s(&msg);
-            s.send(&wire::encode_u64s(&[vals.iter().sum::<u64>()]));
+            s.send(&[msg.iter().sum::<u8>()]);
         });
-        c.send(&wire::encode_u64s(&[1, 2, 3]));
-        let reply = wire::decode_u64s(&c.recv());
+        c.send(&[1, 2, 3]);
+        let reply = c.recv();
         h.join().expect("server ok");
         assert_eq!(reply, vec![6]);
         assert_eq!(meter.c2s.messages(), 1);
@@ -233,20 +231,20 @@ mod tests {
         // a query to it on the server and returns the sum. The base is
         // exchanged exactly once, proving the transport pair persists.
         let (c_out, s_out, meter) = run_two_party_persistent(
-            vec![10u64, 20, 30],
+            vec![10u8, 20, 30],
             |t: &MemTransport| {
-                t.send(&wire::encode_u64s(&[100]));
+                t.send(&[100]);
                 0u64 // client state: rounds seen
             },
-            |seen: &mut u64, q: u64, t: &MemTransport| {
+            |seen: &mut u64, q: u8, t: &MemTransport| {
                 *seen += 1;
-                t.send(&wire::encode_u64s(&[q]));
-                wire::decode_u64s(&t.recv())[0]
+                t.send(&[q]);
+                t.recv()[0]
             },
-            |t: &MemTransport| wire::decode_u64s(&t.recv())[0], // server state: base
-            |base: &mut u64, round: usize, t: &MemTransport| {
-                let q = wire::decode_u64s(&t.recv())[0];
-                t.send(&wire::encode_u64s(&[*base + q]));
+            |t: &MemTransport| t.recv()[0], // server state: base
+            |base: &mut u8, round: usize, t: &MemTransport| {
+                let q = t.recv()[0];
+                t.send(&[*base + q]);
                 round
             },
         );

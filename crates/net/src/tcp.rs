@@ -295,7 +295,6 @@ impl MeteredTransport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::wire;
 
     fn loopback_pair() -> (TcpConnection, TcpConnection) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -312,12 +311,12 @@ mod tests {
         let ct = cc.take_channel(0);
         let st = sc.take_channel(0);
         let h = std::thread::spawn(move || {
-            let vals = wire::decode_u64s(&st.recv());
-            st.send(&wire::encode_u64s(&[vals.iter().sum::<u64>()]));
+            let vals = st.recv();
+            st.send(&[vals.iter().sum::<u8>()]);
             st
         });
-        ct.send(&wire::encode_u64s(&[7, 35]));
-        assert_eq!(wire::decode_u64s(&ct.recv()), vec![42]);
+        ct.send(&[7, 35]);
+        assert_eq!(ct.recv(), vec![42]);
         let st = h.join().expect("server thread");
         // Both endpoints metered the same traffic (send-side and
         // dequeue-side agree after the round trip).
@@ -340,28 +339,28 @@ mod tests {
         // its own thread, interleaving on one socket.
         let h0 = std::thread::spawn(move || {
             for _ in 0..16 {
-                let v = wire::decode_u64s(&s0.recv())[0];
-                s0.send(&wire::encode_u64s(&[v + 1]));
+                let v = s0.recv()[0];
+                s0.send(&[v + 1]);
             }
             s0
         });
         let h1 = std::thread::spawn(move || {
             for _ in 0..16 {
-                let v = wire::decode_u64s(&s1.recv())[0];
-                s1.send(&wire::encode_u64s(&[v * 2]));
+                let v = s1.recv()[0];
+                s1.send(&[v * 2]);
             }
             s1
         });
         let hc1 = std::thread::spawn(move || {
-            for i in 0..16u64 {
-                c1.send(&wire::encode_u64s(&[i]));
-                assert_eq!(wire::decode_u64s(&c1.recv())[0], i * 2);
+            for i in 0..16u8 {
+                c1.send(&[i]);
+                assert_eq!(c1.recv(), vec![i * 2]);
             }
             c1
         });
-        for i in 0..16u64 {
-            c0.send(&wire::encode_u64s(&[i]));
-            assert_eq!(wire::decode_u64s(&c0.recv())[0], i + 1);
+        for i in 0..16u8 {
+            c0.send(&[i]);
+            assert_eq!(c0.recv(), vec![i + 1]);
         }
         let c1 = hc1.join().expect("client ch1");
         let s0 = h0.join().expect("server ch0");

@@ -100,57 +100,3 @@ pub trait MeteredTransport: Transport {
     /// The endpoint's traffic meter.
     fn meter(&self) -> &Arc<Meter>;
 }
-
-/// Helpers for shipping `u64` matrices/vectors without a serde dependency.
-pub mod wire {
-    /// Encodes a u64 slice as little-endian bytes.
-    pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + values.len() * 8);
-        out.extend_from_slice(&(values.len() as u64).to_le_bytes());
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes bytes produced by [`encode_u64s`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed input (protocol logic error).
-    pub fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
-        assert!(bytes.len() >= 8, "truncated u64 message");
-        let len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
-        assert_eq!(bytes.len(), 8 + len * 8, "u64 message length mismatch");
-        (0..len)
-            .map(|i| {
-                let s = 8 + i * 8;
-                u64::from_le_bytes(bytes[s..s + 8].try_into().expect("8 bytes"))
-            })
-            .collect()
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn roundtrip() {
-            let vals = vec![0u64, 1, u64::MAX, 42];
-            assert_eq!(decode_u64s(&encode_u64s(&vals)), vals);
-        }
-
-        #[test]
-        fn empty_roundtrip() {
-            assert_eq!(decode_u64s(&encode_u64s(&[])), Vec::<u64>::new());
-        }
-
-        #[test]
-        #[should_panic(expected = "length mismatch")]
-        fn malformed_rejected() {
-            let mut b = encode_u64s(&[1, 2]);
-            b.pop();
-            decode_u64s(&b);
-        }
-    }
-}

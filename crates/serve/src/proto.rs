@@ -20,9 +20,11 @@
 //! 4. server → client: [`SessionSummary`] — the server's per-session
 //!    phase totals and traffic attribution.
 //!
-//! Encoding is the same dependency-free little-endian style the wire
-//! helpers use; strings are length-prefixed UTF-8.
+//! Frames are encoded with [`primer_core::wire`], the codec every
+//! flight and suspend image uses; strings are `u32`-length-prefixed
+//! UTF-8.
 
+use primer_core::wire::{decode, put_traffic, put_u32, put_u64, read_traffic, Rdr, WireError};
 use primer_core::{GcMode, ProtocolVariant};
 use primer_net::TrafficSnapshot;
 use primer_nn::TransformerConfig;
@@ -108,105 +110,45 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-// ---- primitive cursor ----------------------------------------------------
+// ---- records on the core codec ------------------------------------------
 
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// Decodes one whole frame with `f`. Input that `f` leaves unread is
-    /// malformed, not ignored.
-    pub(crate) fn decode<T>(
-        bytes: &'a [u8],
-        f: impl FnOnce(&mut Self) -> Result<T, ProtoError>,
-    ) -> Result<T, ProtoError> {
-        let mut c = Self { bytes, pos: 0 };
-        let value = f(&mut c)?;
-        if c.pos != c.bytes.len() {
-            return Err(ProtoError::Malformed("trailing bytes"));
+impl From<WireError> for ProtoError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Short { .. } => ProtoError::Truncated,
+            WireError::Trailing => ProtoError::Malformed("trailing bytes"),
         }
-        Ok(value)
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(ProtoError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("string is not UTF-8"))
-    }
-
-    /// Checks a `[magic] [version u32]` prelude written by [`put_prelude`].
-    pub(crate) fn prelude(&mut self, magic: [u8; 4], version: u32) -> Result<(), ProtoError> {
-        if self.take(4)? != magic {
-            return Err(ProtoError::BadMagic);
-        }
-        match self.u32()? {
-            v if v == version => Ok(()),
-            theirs => Err(ProtoError::VersionMismatch { theirs }),
-        }
-    }
-
-    /// Reads what [`put_model`] writes.
-    pub(crate) fn model(&mut self) -> Result<TransformerConfig, ProtoError> {
-        let name = self.string()?;
-        let mut dims = [0usize; 7];
-        for d in &mut dims {
-            *d = self.u32()? as usize;
-        }
-        let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
-        Ok(TransformerConfig { name, vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes })
-    }
-
-    /// Reads what [`put_traffic`] writes.
-    pub(crate) fn traffic(&mut self) -> Result<TrafficSnapshot, ProtoError> {
-        Ok(TrafficSnapshot {
-            c2s_bytes: self.u64()?,
-            s2c_bytes: self.u64()?,
-            c2s_messages: self.u64()?,
-            s2c_messages: self.u64()?,
-        })
     }
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
+/// A UTF-8 string behind a `u32` length.
 pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads what [`put_string`] writes.
+pub(crate) fn read_string(r: &mut Rdr, what: &'static str) -> Result<String, ProtoError> {
+    let len = r.u32(what)? as usize;
+    String::from_utf8(r.take(len, what)?.to_vec())
+        .map_err(|_| ProtoError::Malformed("string is not UTF-8"))
 }
 
 /// The `[magic] [version u32]` prelude of a versioned frame or file.
 pub(crate) fn put_prelude(out: &mut Vec<u8>, magic: [u8; 4], version: u32) {
     out.extend_from_slice(&magic);
     put_u32(out, version);
+}
+
+/// Checks a prelude written by [`put_prelude`].
+pub(crate) fn read_prelude(r: &mut Rdr, magic: [u8; 4], version: u32) -> Result<(), ProtoError> {
+    if r.take(4, "magic")? != magic {
+        return Err(ProtoError::BadMagic);
+    }
+    match r.u32("version")? {
+        v if v == version => Ok(()),
+        theirs => Err(ProtoError::VersionMismatch { theirs }),
+    }
 }
 
 /// A model as its name and seven dimensions.
@@ -217,32 +159,23 @@ pub(crate) fn put_model(out: &mut Vec<u8>, m: &TransformerConfig) {
     }
 }
 
-/// A traffic snapshot as its four counters.
-pub(crate) fn put_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
-    for v in [t.c2s_bytes, t.s2c_bytes, t.c2s_messages, t.s2c_messages] {
-        put_u64(out, v);
+/// Reads what [`put_model`] writes.
+pub(crate) fn read_model(r: &mut Rdr) -> Result<TransformerConfig, ProtoError> {
+    let name = read_string(r, "model name")?;
+    let mut dims = [0usize; 7];
+    for d in &mut dims {
+        *d = r.u32("model dims")? as usize;
     }
+    let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
+    Ok(TransformerConfig { name, vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes })
 }
 
 // ---- enum codes ----------------------------------------------------------
 
-pub(crate) fn variant_code(v: ProtocolVariant) -> u8 {
-    match v {
-        ProtocolVariant::Base => 0,
-        ProtocolVariant::F => 1,
-        ProtocolVariant::Fp => 2,
-        ProtocolVariant::Fpc => 3,
-    }
-}
-
-pub(crate) fn variant_from_code(c: u8) -> Result<ProtocolVariant, ProtoError> {
-    Ok(match c {
-        0 => ProtocolVariant::Base,
-        1 => ProtocolVariant::F,
-        2 => ProtocolVariant::Fp,
-        3 => ProtocolVariant::Fpc,
-        _ => return Err(ProtoError::BadCode(c)),
-    })
+/// Reads a [`ProtocolVariant::code`].
+pub(crate) fn read_variant(r: &mut Rdr) -> Result<ProtocolVariant, ProtoError> {
+    let c = r.u8("variant")?;
+    ProtocolVariant::from_code(c).ok_or(ProtoError::BadCode(c))
 }
 
 pub(crate) fn mode_code(m: GcMode) -> u8 {
@@ -312,7 +245,7 @@ impl ClientHello {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_prelude(&mut out, MAGIC, PROTOCOL_VERSION);
-        out.push(variant_code(self.variant));
+        out.push(self.variant.code());
         out.push(mode_code(self.mode));
         put_u32(&mut out, self.queries);
         put_u32(&mut out, self.pool);
@@ -332,15 +265,15 @@ impl ClientHello {
     ///
     /// [`ProtoError`] on truncation, bad magic, version or code.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| {
-            c.prelude(MAGIC, PROTOCOL_VERSION)?;
-            let variant = variant_from_code(c.u8()?)?;
-            let mode = mode_from_code(c.u8()?)?;
-            let queries = c.u32()?;
-            let pool = c.u32()?;
-            let resume = match c.u8()? {
+        decode(bytes, |r| {
+            read_prelude(r, MAGIC, PROTOCOL_VERSION)?;
+            let variant = read_variant(r)?;
+            let mode = mode_from_code(r.u8("gc mode")?)?;
+            let queries = r.u32("queries")?;
+            let pool = r.u32("pool")?;
+            let resume = match r.u8("resume tag")? {
                 0 => None,
-                1 => Some(c.u64()?),
+                1 => Some(r.u64("resume token")?),
                 other => return Err(ProtoError::BadCode(other)),
             };
             Ok(Self { variant, mode, queries, pool, resume })
@@ -410,17 +343,19 @@ impl ServerWelcome {
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         // The inner result is the server's answer; the outer one is
         // whether the frame carrying it was well formed.
-        Cursor::decode(bytes, |c| {
-            Ok(match c.u8()? {
+        decode(bytes, |r| {
+            Ok(match r.u8("status")? {
                 STATUS_OK => Ok(Self {
-                    session_id: c.u64()?,
-                    profile: profile_from_code(c.u8()?)?,
-                    weight_seed: c.u64()?,
-                    pool: c.u32()?,
-                    model: c.model()?,
+                    session_id: r.u64("session id")?,
+                    profile: profile_from_code(r.u8("profile")?)?,
+                    weight_seed: r.u64("weight seed")?,
+                    pool: r.u32("pool")?,
+                    model: read_model(r)?,
                 }),
-                STATUS_REJECT => Err(ProtoError::Rejected(c.string()?)),
-                STATUS_BUSY => Err(ProtoError::Busy { active: c.u64()?, cap: c.u64()? }),
+                STATUS_REJECT => Err(ProtoError::Rejected(read_string(r, "reason")?)),
+                STATUS_BUSY => {
+                    Err(ProtoError::Busy { active: r.u64("active")?, cap: r.u64("cap")? })
+                }
                 other => return Err(ProtoError::BadCode(other)),
             })
         })?
@@ -465,8 +400,12 @@ fn put_phase(out: &mut Vec<u8>, p: &PhaseSummary) {
     put_u64(out, p.messages);
 }
 
-fn get_phase(c: &mut Cursor<'_>) -> Result<PhaseSummary, ProtoError> {
-    Ok(PhaseSummary { compute_ns: c.u64()?, bytes: c.u64()?, messages: c.u64()? })
+fn read_phase(r: &mut Rdr) -> Result<PhaseSummary, WireError> {
+    Ok(PhaseSummary {
+        compute_ns: r.u64("phase compute")?,
+        bytes: r.u64("phase bytes")?,
+        messages: r.u64("phase messages")?,
+    })
 }
 
 impl SessionSummary {
@@ -489,15 +428,15 @@ impl SessionSummary {
     ///
     /// [`ProtoError`] on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| {
+        decode(bytes, |r| {
             Ok(Self {
-                session_id: c.u64()?,
-                queries: c.u64()?,
-                threads: c.u64()?,
-                setup: get_phase(c)?,
-                offline: get_phase(c)?,
-                online: get_phase(c)?,
-                traffic: c.traffic()?,
+                session_id: r.u64("session id")?,
+                queries: r.u64("queries")?,
+                threads: r.u64("threads")?,
+                setup: read_phase(r)?,
+                offline: read_phase(r)?,
+                online: read_phase(r)?,
+                traffic: read_traffic(r)?,
             })
         })
     }
@@ -532,7 +471,7 @@ impl SuspendRequest {
     ///
     /// [`ProtoError`] on truncation, bad magic or version.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| c.prelude(SUSPEND_MAGIC, PROTOCOL_VERSION)).map(|()| Self)
+        decode(bytes, |r| read_prelude(r, SUSPEND_MAGIC, PROTOCOL_VERSION)).map(|()| Self)
     }
 }
 
@@ -593,9 +532,11 @@ impl SuspendReply {
     ///
     /// [`ProtoError`] on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| match c.u8()? {
-            STATUS_OK => Ok(SuspendReply::Ack { token: c.u64()?, remaining: c.u64()? }),
-            STATUS_REJECT => Ok(SuspendReply::Refused(c.string()?)),
+        decode(bytes, |r| match r.u8("status")? {
+            STATUS_OK => {
+                Ok(SuspendReply::Ack { token: r.u64("token")?, remaining: r.u64("remaining")? })
+            }
+            STATUS_REJECT => Ok(SuspendReply::Refused(read_string(r, "reason")?)),
             SUSPEND_PARKED => Ok(SuspendReply::Parked),
             other => Err(ProtoError::BadCode(other)),
         })
@@ -645,7 +586,7 @@ impl StatsRequest {
     ///
     /// [`ProtoError`] on truncation, bad magic or any other version.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| c.prelude(STATS_MAGIC, PROTOCOL_VERSION)).map(|()| Self::new())
+        decode(bytes, |r| read_prelude(r, STATS_MAGIC, PROTOCOL_VERSION)).map(|()| Self::new())
     }
 }
 
@@ -954,7 +895,7 @@ impl StatsSnapshot {
         put_u32(&mut out, self.sessions.len() as u32);
         for s in &self.sessions {
             put_u64(&mut out, s.id);
-            out.push(variant_code(s.variant));
+            out.push(s.variant.code());
             out.push(state_code(s.state));
             put_u64(&mut out, s.queries_done);
             put_u64(&mut out, s.queries_booked);
@@ -999,65 +940,65 @@ impl StatsSnapshot {
     /// [`ProtoError::Rejected`] when the server declined the poll,
     /// other [`ProtoError`]s on malformed frames.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
-        Cursor::decode(bytes, |c| {
-            Ok(match c.u8()? {
-                STATUS_OK => Ok(Self::read(c)?),
-                STATUS_REJECT => Err(ProtoError::Rejected(c.string()?)),
+        decode(bytes, |r| {
+            Ok(match r.u8("status")? {
+                STATUS_OK => Ok(Self::read(r)?),
+                STATUS_REJECT => Err(ProtoError::Rejected(read_string(r, "reason")?)),
                 other => return Err(ProtoError::BadCode(other)),
             })
         })?
     }
 
-    fn read(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
-        let workers_active = c.u64()?;
-        let workers_cap = c.u64()?;
-        let backlog = c.u64()?;
-        let planes_built = c.u64()?;
-        let planes_reused = c.u64()?;
-        let plane_resident_mask_bytes = c.u64()?;
-        let plane_build_ms = c.u64()?;
-        let n = c.u32()? as usize;
+    fn read(r: &mut Rdr) -> Result<Self, ProtoError> {
+        let workers_active = r.u64("workers active")?;
+        let workers_cap = r.u64("workers cap")?;
+        let backlog = r.u64("backlog")?;
+        let planes_built = r.u64("planes built")?;
+        let planes_reused = r.u64("planes reused")?;
+        let plane_resident_mask_bytes = r.u64("plane mask bytes")?;
+        let plane_build_ms = r.u64("plane build ms")?;
+        let n = r.u32("session count")? as usize;
         let mut sessions = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             sessions.push(SessionStat {
-                id: c.u64()?,
-                variant: variant_from_code(c.u8()?)?,
-                state: state_from_code(c.u8()?)?,
-                queries_done: c.u64()?,
-                queries_booked: c.u64()?,
-                pool_depth: c.u64()?,
-                pool_capacity: c.u64()?,
+                id: r.u64("session id")?,
+                variant: read_variant(r)?,
+                state: state_from_code(r.u8("session state")?)?,
+                queries_done: r.u64("queries done")?,
+                queries_booked: r.u64("queries booked")?,
+                pool_depth: r.u64("pool depth")?,
+                pool_capacity: r.u64("pool capacity")?,
             });
         }
-        let n = c.u32()? as usize;
+        let n = r.u32("he op count")? as usize;
         let mut he_ops = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            he_ops.push((c.string()?, c.u64()?));
+            he_ops.push((read_string(r, "he op name")?, r.u64("he op value")?));
         }
-        let n = c.u32()? as usize;
+        let n = r.u32("phase count")? as usize;
         let mut phases = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            let name = c.string()?;
+            let name = read_string(r, "phase name")?;
             phases.push((
                 name,
                 PhaseStat {
-                    count: c.u64()?,
-                    sum_ns: c.u64()?,
-                    min_ns: c.u64()?,
-                    max_ns: c.u64()?,
-                    p50_ns: c.u64()?,
-                    p95_ns: c.u64()?,
-                    p99_ns: c.u64()?,
+                    count: r.u64("phase count")?,
+                    sum_ns: r.u64("phase sum")?,
+                    min_ns: r.u64("phase min")?,
+                    max_ns: r.u64("phase max")?,
+                    p50_ns: r.u64("phase p50")?,
+                    p95_ns: r.u64("phase p95")?,
+                    p99_ns: r.u64("phase p99")?,
                 },
             ));
         }
-        let n = c.u32()? as usize;
+        let n = r.u32("channel count")? as usize;
         let mut channels = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            channels.push((c.string()?, c.traffic()?));
+            channels.push((read_string(r, "channel name")?, read_traffic(r)?));
         }
         let (shed_total, suspended, resumed_total, plane_evictions) =
-            (c.u64()?, c.u64()?, c.u64()?, c.u64()?);
+            (r.u64("shed")?, r.u64("suspended")?, r.u64("resumed")?, r.u64("evictions")?);
         Ok(Self {
             workers_active,
             workers_cap,

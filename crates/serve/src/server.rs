@@ -690,7 +690,7 @@ fn circuits_and_plane(
     shared: &ServerShared,
     variant: ProtocolVariant,
 ) -> (Arc<Vec<Circuit>>, Arc<ModelPlane>) {
-    let key = crate::proto::variant_code(variant);
+    let key = variant.code();
     let circuits = {
         let mut cache = shared.circuits.lock().expect("circuit cache mutex poisoned");
         Arc::clone(cache.entry(key).or_insert_with(|| {

@@ -28,13 +28,15 @@
 //! retryable one.
 
 use crate::proto::{
-    profile_code, profile_from_code, put_model, put_prelude, put_string, put_traffic, put_u32,
-    put_u64, variant_code, variant_from_code, Cursor, Profile, ProtoError,
+    profile_code, profile_from_code, put_model, put_prelude, put_string, read_model,
+    read_prelude, read_string, read_variant, Profile, ProtoError,
+};
+use primer_core::wire::{
+    decode, put_phase_cost, put_traffic, put_u32, put_u64, read_phase_cost, read_traffic,
 };
 use primer_core::{PhaseCost, ProtocolVariant};
 use primer_net::TrafficSnapshot;
 use primer_nn::TransformerConfig;
-use std::time::Duration;
 
 /// Magic prefix of a suspend file.
 pub(crate) const FILE_MAGIC: [u8; 4] = *b"PRSP";
@@ -70,20 +72,6 @@ pub(crate) struct SuspendHeader {
     pub traffic: TrafficSnapshot,
 }
 
-fn put_phase_cost(out: &mut Vec<u8>, p: &PhaseCost) {
-    put_u64(out, p.compute.as_nanos() as u64);
-    put_u64(out, p.bytes);
-    put_u64(out, p.messages);
-}
-
-fn get_phase_cost(c: &mut Cursor<'_>) -> Result<PhaseCost, ProtoError> {
-    Ok(PhaseCost {
-        compute: Duration::from_nanos(c.u64()?),
-        bytes: c.u64()?,
-        messages: c.u64()?,
-    })
-}
-
 /// Serializes a suspend file.
 pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(image.len() + 256);
@@ -93,7 +81,7 @@ pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
     put_u64(&mut out, header.weight_seed);
     put_model(&mut out, &header.model);
     put_string(&mut out, &header.fingerprint);
-    out.push(variant_code(header.variant));
+    out.push(header.variant.code());
     put_u32(&mut out, header.pool);
     put_u64(&mut out, header.booked);
     put_u64(&mut out, header.served);
@@ -112,24 +100,24 @@ pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
 /// [`ProtoError`] on bad magic, an unknown envelope version, truncation,
 /// or bytes after the image.
 pub(crate) fn decode_file(bytes: &[u8]) -> Result<(SuspendHeader, Vec<u8>), ProtoError> {
-    Cursor::decode(bytes, |c| {
-        c.prelude(FILE_MAGIC, FILE_VERSION)?;
+    decode(bytes, |r| {
+        read_prelude(r, FILE_MAGIC, FILE_VERSION)?;
         let header = SuspendHeader {
-            session_id: c.u64()?,
-            profile: profile_from_code(c.u8()?)?,
-            weight_seed: c.u64()?,
-            model: c.model()?,
-            fingerprint: c.string()?,
-            variant: variant_from_code(c.u8()?)?,
-            pool: c.u32()?,
-            booked: c.u64()?,
-            served: c.u64()?,
-            offline: get_phase_cost(c)?,
-            online: get_phase_cost(c)?,
-            traffic: c.traffic()?,
+            session_id: r.u64("session id")?,
+            profile: profile_from_code(r.u8("profile")?)?,
+            weight_seed: r.u64("weight seed")?,
+            model: read_model(r)?,
+            fingerprint: read_string(r, "fingerprint")?,
+            variant: read_variant(r)?,
+            pool: r.u32("pool")?,
+            booked: r.u64("booked")?,
+            served: r.u64("served")?,
+            offline: read_phase_cost(r)?,
+            online: read_phase_cost(r)?,
+            traffic: read_traffic(r)?,
         };
-        let image_len = c.u32()? as usize;
-        Ok((header, c.take(image_len)?.to_vec()))
+        let image_len = r.u32("image length")? as usize;
+        Ok((header, r.take(image_len, "image")?.to_vec()))
     })
 }
 
@@ -147,6 +135,7 @@ pub(crate) fn parse_file_name(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn header() -> SuspendHeader {
         SuspendHeader {

@@ -1,11 +1,11 @@
 //! Ablation: the cost of the feed-forward activation inside GC.
 //!
 //! The paper's Fig. 4 garbles ReLU-style activations; BERT itself uses
-//! GELU. This ablation prices both (plus the bare truncation) in AND
-//! gates per element at the test and the paper fixed-point formats —
-//! the design trade-off DESIGN.md calls out — and checks the GELU
-//! circuit against its fixed-point reference on every value of each
-//! format, plus inputs that saturate.
+//! GELU. This ablation prices the GELU step against the bare truncation
+//! every step pays, in AND gates per element at the test and the paper
+//! fixed-point formats — the design trade-off DESIGN.md calls out — and
+//! checks the GELU circuit against its fixed-point reference on every
+//! value of each format, plus inputs that saturate.
 //!
 //! Run: `cargo run --release --example gelu_ablation`
 
@@ -30,14 +30,13 @@ fn main() {
         "AND gates per element at {}-bit GC words (share reconstruction + trunc included):",
         gc.width
     );
-    println!("{:<14} {:>10} {:>10} {:>10}", "format", "TruncSat", "ReLU", "GELU");
+    println!("{:<14} {:>10} {:>10}", "format", "TruncSat", "GELU");
     for (name, spec) in &profiles {
         let per_elem =
             |kind: &GcStepKind| build_step_circuit(kind, spec, gc).and_count() / kind.elems();
         let trunc = per_elem(&GcStepKind::TruncSat { elems: 8 });
-        let relu = per_elem(&GcStepKind::Relu { elems: 8 });
         let gelu = per_elem(&GcStepKind::Gelu { elems: 8 });
-        println!("{name:<14} {trunc:>10} {relu:>10} {gelu:>10}");
+        println!("{name:<14} {trunc:>10} {gelu:>10}");
     }
     println!();
 
@@ -72,7 +71,6 @@ fn main() {
     }
     println!();
     println!("takeaway: GELU is ReLU minus a table of its gap from ReLU, read over the");
-    println!("small window where the gap is non-zero — a few dozen ANDs above ReLU per");
-    println!("element. The share wrapper every step pays (the TruncSat column) is most");
-    println!("of the cost of either activation.");
+    println!("small window where the gap is non-zero — the gap between the two columns.");
+    println!("The share wrapper every step pays (the TruncSat column) is most of its cost.");
 }
