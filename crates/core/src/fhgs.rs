@@ -161,7 +161,8 @@ impl FhgsServer {
     /// holds one-time secrets either way, so it is only as private as
     /// the directory it lands in.
     pub(crate) fn suspend_write(&self, out: &mut Vec<u8>) {
-        use crate::wire::{put_u32, write_cts, write_matz, write_packed};
+        use crate::wire::{write_cts, write_packed};
+        use primer_math::codec::{put_u32, write_matz};
         match &self.triple {
             Triple::Diag { enc_rc_a, enc_rc_bt, enc_ab } => {
                 out.push(0);
@@ -191,10 +192,11 @@ impl FhgsServer {
     ///
     /// [`primer_he::HeError::Malformed`] on truncated or foreign bytes.
     pub(crate) fn suspend_read(
-        r: &mut crate::wire::Rdr,
+        r: &mut primer_math::codec::Rdr,
         ctx: &HeContext,
     ) -> Result<Self, primer_he::HeError> {
-        use crate::wire::{read_cts, read_matz, read_packed};
+        use crate::wire::{read_cts, read_packed};
+        use primer_math::codec::read_matz;
         let triple = match r.u8("fhgs triple tag")? {
             0 => Triple::Diag {
                 enc_rc_a: read_packed(r, ctx)?,

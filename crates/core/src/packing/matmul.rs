@@ -991,7 +991,7 @@ mod tests {
         bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
     }
 
-    /// FNV-1a over every output ciphertext's `to_bytes()`, in output
+    /// FNV-1a over every output ciphertext's wire bytes, in output
     /// order, for one matmul from either mask source.
     fn chain_digest(
         packing: Packing,
@@ -1020,7 +1020,9 @@ mod tests {
             x.matmul(&fx.ring, &w),
             "{packing:?} {mode:?} {rows}x{cols}x{out_cols}"
         );
-        product.cts.iter().fold(0xcbf2_9ce4_8422_2325, |h, ct| fnv1a(h, &ct.to_bytes()))
+        let mut bytes = Vec::new();
+        product.cts.iter().for_each(|ct| ct.write(&mut bytes));
+        fnv1a(0xcbf2_9ce4_8422_2325, &bytes)
     }
 
     /// Every chain kind's output ciphertexts, hashed byte for byte and

@@ -9,6 +9,7 @@ use crate::stats::{PhaseCost, StepBreakdown};
 use crate::system::SystemConfig;
 use primer_gc::Circuit;
 use primer_he::{BatchEncoder, Evaluator, GaloisKeys, HeError, OpCounters, OpCounts};
+use primer_math::codec::decode;
 use primer_math::rng::derive;
 use primer_math::MatZ;
 use primer_net::{MeteredTransport, TrafficSnapshot};
@@ -181,7 +182,7 @@ impl ServerSession {
         let eval = Evaluator::new(&sys.he);
         let ot = GcServerOt::new(mode, sys.ot_group.group(), derive(seed, "server-gc-base-ot"));
         let key_bytes = t.recv();
-        let gk = GaloisKeys::from_bytes(&sys.he, &key_bytes)?;
+        let gk = decode(&key_bytes, |r| GaloisKeys::read(&sys.he, r))?;
         // Rotation plan check: every step the prepared chains will issue
         // must be realizable with the received keys (directly or via
         // power-of-two hops), so an under-provisioned peer fails Setup

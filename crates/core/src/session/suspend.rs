@@ -38,9 +38,9 @@ use super::ProtocolVariant;
 use crate::gcmod::{GcMode, GcServerStep};
 use crate::stats::{PhaseCost, StepBreakdown, StepCategory};
 use crate::system::SystemConfig;
-use crate::wire::{
-    decode, put_bytes, put_phase_cost, put_traffic, put_u32, put_u64, read_matz,
-    read_phase_cost, read_traffic, write_matz, Rdr, WireError,
+use crate::wire::{put_phase_cost, put_traffic, read_phase_cost, read_traffic};
+use primer_math::codec::{
+    decode, put_bytes, put_u32, put_u64, read_matz, write_matz, Rdr, WireError,
 };
 use primer_gc::Circuit;
 use primer_he::{BatchEncoder, Evaluator, GaloisKeys, HeContext, HeError, OpCounts};
@@ -172,7 +172,7 @@ impl ServerSuspendImage {
         if plane.variant() != self.variant {
             return Err(SuspendError::BadImage("plane variant mismatch"));
         }
-        let gk = GaloisKeys::from_bytes(&sys.he, &self.gk_bytes)?;
+        let gk = decode(&self.gk_bytes, |r| GaloisKeys::read(&sys.he, r))?;
         let encoder = BatchEncoder::new(&sys.he);
         let eval = Evaluator::new(&sys.he);
         let core = Arc::new(ServerCore {
@@ -212,13 +212,9 @@ pub(crate) fn suspend_server_online(
     while let Some(b) = pool.take_blocking() {
         bundles.push(b);
     }
-    Ok(ServerSuspendImage {
-        variant: core.variant,
-        setup_cost,
-        wire_mark,
-        gk_bytes: core.gk.to_bytes(),
-        bundles,
-    })
+    let mut gk_bytes = Vec::with_capacity(core.gk.serialized_size());
+    core.gk.write(&mut gk_bytes);
+    Ok(ServerSuspendImage { variant: core.variant, setup_cost, wire_mark, gk_bytes, bundles })
 }
 
 fn write_steps(out: &mut Vec<u8>, steps: &StepBreakdown) {

@@ -1,19 +1,13 @@
-//! The byte codec: every flight, suspend image and control frame.
+//! Protocol flights and the engine's shared records, on the byte codec
+//! of [`primer_math::codec`].
 //!
-//! A record is little-endian and length-checked, and this module is the
-//! one place that knows how. Writers append to a `Vec<u8>` (`put_*` for
-//! scalars, `write_*` for records); the one reader is the checked
-//! cursor [`Rdr`], and [`decode`] runs a reader over a whole buffer and
-//! refuses bytes it leaves unread. Header fields (counts, dimensions)
-//! are checked against the bytes actually present — overflow-checked —
-//! before anything is sliced or allocated by them, so a forged header
-//! cannot panic the process or trigger a huge allocation.
-//!
-//! A read fails in two ways, a short buffer or leftover bytes, both as
-//! a [`WireError`] naming the field. It converts with `From` into each
-//! caller's own error: [`HeError::Malformed`] for the flights and the
-//! suspend image here, and the serving layer's `ProtoError` for its
-//! control frames and suspend files — so `?` works on both sides.
+//! The codec — the writers, the checked reader [`Rdr`], [`decode`] and
+//! its [`WireError`] — lives in `primer_math` so the HE layer reads keys
+//! and ciphertexts with the same cursor; `primer_he` converts a
+//! [`WireError`] into [`HeError::Malformed`]. This module adds the
+//! records the engine and the serving layer share (traffic snapshots,
+//! phase costs, ciphertext batches, packed matrices) and frames them as
+//! flights.
 //!
 //! The `send_*` / `recv_*` functions frame protocol flights on a
 //! [`Transport`]: every receive is `Result`-typed, because flights
@@ -24,48 +18,10 @@
 use crate::packing::{Layout, Packing, PackedMatrix};
 use crate::stats::PhaseCost;
 use primer_he::{Ciphertext, GaloisKeys, HeContext, HeError};
+use primer_math::codec::{decode, put_u32, put_u64, read_matz, write_matz, Rdr, WireError};
 use primer_math::MatZ;
 use primer_net::{TrafficSnapshot, Transport};
 use std::time::Duration;
-
-/// Why a record did not decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended inside the named field.
-    Short {
-        /// The field being read.
-        what: &'static str,
-    },
-    /// Bytes were left after the record's last field.
-    Trailing,
-}
-
-impl From<WireError> for HeError {
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::Short { what } => HeError::Malformed { what },
-            WireError::Trailing => HeError::Malformed { what: "trailing bytes" },
-        }
-    }
-}
-
-// ---- writers ---------------------------------------------------------------
-
-/// Appends a `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a byte string behind a `u64` length ([`Rdr::bytes`]).
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
 
 /// Appends a traffic snapshot as its four counters.
 pub fn put_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
@@ -78,79 +34,6 @@ pub fn put_traffic(out: &mut Vec<u8>, t: &TrafficSnapshot) {
 pub fn put_phase_cost(out: &mut Vec<u8>, p: &PhaseCost) {
     for v in [p.compute.as_nanos() as u64, p.bytes, p.messages] {
         put_u64(out, v);
-    }
-}
-
-// ---- the reader ------------------------------------------------------------
-
-/// Checked cursor over one record's bytes.
-pub struct Rdr<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-/// Decodes one whole record with `f`. Bytes `f` leaves unread are
-/// [`WireError::Trailing`], not ignored.
-///
-/// # Errors
-///
-/// Whatever `f` returns, or the trailing-bytes error converted to `E`.
-pub fn decode<'a, T, E: From<WireError>>(
-    bytes: &'a [u8],
-    f: impl FnOnce(&mut Rdr<'a>) -> Result<T, E>,
-) -> Result<T, E> {
-    let mut r = Rdr { buf: bytes, pos: 0 };
-    let value = f(&mut r)?;
-    if r.pos != r.buf.len() {
-        return Err(WireError::Trailing.into());
-    }
-    Ok(value)
-}
-
-/// Every read names its field and fails with [`WireError::Short`] when
-/// the buffer ends inside it.
-impl<'a> Rdr<'a> {
-    /// The next `n` bytes.
-    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let short = WireError::Short { what };
-        let end = self.pos.checked_add(n).ok_or(short)?;
-        let s = self.buf.get(self.pos..end).ok_or(short)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// The next `N` bytes as an array.
-    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
-        let mut a = [0; N];
-        a.copy_from_slice(self.take(N, what)?);
-        Ok(a)
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.array::<1>(what)?[0])
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array(what)?))
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array(what)?))
-    }
-
-    /// A byte string written by [`put_bytes`].
-    pub(crate) fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], WireError> {
-        let len = self.u64(what)?;
-        self.take(usize::try_from(len).unwrap_or(usize::MAX), what)
-    }
-
-    /// The bytes not yet read, for decoders that report their own use
-    /// (consume it with [`Rdr::take`]).
-    fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
     }
 }
 
@@ -173,33 +56,12 @@ pub fn read_phase_cost(r: &mut Rdr) -> Result<PhaseCost, WireError> {
     })
 }
 
-// ---- matrices, ciphertexts, packed matrices --------------------------------
-
-pub(crate) fn write_matz(out: &mut Vec<u8>, m: &MatZ) {
-    put_u32(out, m.rows() as u32);
-    put_u32(out, m.cols() as u32);
-    for &v in m.as_slice() {
-        put_u64(out, v);
-    }
-}
-
-pub(crate) fn read_matz(r: &mut Rdr) -> Result<MatZ, WireError> {
-    let rows = r.u32("matrix rows")? as usize;
-    let cols = r.u32("matrix cols")? as usize;
-    // A shape whose byte size overflows cannot be present either.
-    let n = rows.checked_mul(cols).and_then(|n| n.checked_mul(8)).unwrap_or(usize::MAX);
-    let data = r
-        .take(n, "matrix data")?
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
-        .collect();
-    Ok(MatZ::from_vec(rows, cols, data))
-}
+// ---- ciphertexts, packed matrices -----------------------------------------
 
 pub(crate) fn write_cts(out: &mut Vec<u8>, cts: &[Ciphertext]) {
     put_u32(out, cts.len() as u32);
     for ct in cts {
-        out.extend_from_slice(&ct.to_bytes());
+        ct.write(out);
     }
 }
 
@@ -207,13 +69,7 @@ pub(crate) fn write_cts(out: &mut Vec<u8>, cts: &[Ciphertext]) {
 /// cannot trigger a huge up-front allocation.
 pub(crate) fn read_cts(r: &mut Rdr, ctx: &HeContext) -> Result<Vec<Ciphertext>, HeError> {
     let count = r.u32("ciphertext count")?;
-    let mut cts = Vec::new();
-    for _ in 0..count {
-        let (ct, used) = Ciphertext::from_bytes(ctx, r.rest())?;
-        r.take(used, "ciphertext")?;
-        cts.push(ct);
-    }
-    Ok(cts)
+    (0..count).map(|_| Ciphertext::read(ctx, r)).collect()
 }
 
 fn packing_code(p: Packing) -> u8 {
@@ -329,7 +185,9 @@ pub fn recv_matrix(t: &dyn Transport) -> Result<MatZ, HeError> {
 /// Sends the client's Galois keys as real serialized bytes (the one-time
 /// Setup flight; the server reconstructs them with [`recv_galois_keys`]).
 pub fn send_galois_keys(t: &dyn Transport, keys: &GaloisKeys) {
-    t.send_owned(keys.to_bytes());
+    let mut out = Vec::with_capacity(keys.serialized_size());
+    keys.write(&mut out);
+    t.send_owned(out);
 }
 
 /// Receives and deserializes Galois keys sent by [`send_galois_keys`].
@@ -341,7 +199,7 @@ pub fn send_galois_keys(t: &dyn Transport, keys: &GaloisKeys) {
 /// fail soft (the serving worker maps it to a failed session, not a
 /// crash).
 pub fn recv_galois_keys(t: &dyn Transport, ctx: &HeContext) -> Result<GaloisKeys, HeError> {
-    GaloisKeys::from_bytes(ctx, &t.recv())
+    decode(&t.recv(), |r| GaloisKeys::read(ctx, r))
 }
 
 /// Sends `len` placeholder bytes — used by the simulated GC mode to
@@ -353,6 +211,7 @@ pub fn send_placeholder(t: &dyn Transport, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use primer_math::codec::put_bytes;
     use primer_math::rng::seeded;
     use primer_math::Ring;
     use primer_net::run_two_party;
@@ -428,8 +287,8 @@ mod tests {
     }
 
     /// Every way an attacker can mangle a matrix flight must come back
-    /// as `Malformed`, never a panic (mirrors the `RnsPoly::read_bytes`
-    /// hardening from the previous PR).
+    /// as `Malformed`, never a panic (mirrors the `RnsPoly::read`
+    /// hardening).
     #[test]
     fn forged_matrix_flights_are_malformed_not_panics() {
         use primer_he::HeError;
@@ -491,8 +350,7 @@ mod tests {
         let ct = encr.encrypt(&BatchEncoder::new(&ctx).encode(&[1, 2, 3]));
         let good = {
             let mut b = Vec::new();
-            b.extend_from_slice(&1u32.to_le_bytes());
-            b.extend_from_slice(&ct.to_bytes());
+            write_cts(&mut b, &[ct]);
             b
         };
 
@@ -514,6 +372,12 @@ mod tests {
             b.push(0);
             b
         };
+        let residue_above_prime = {
+            // Count, ciphertext header, poly header: the first residue.
+            let mut b = good.clone();
+            b[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+            b
+        };
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("empty flight", vec![]),
             ("truncated header", vec![2, 0]),
@@ -521,6 +385,7 @@ mod tests {
             ("truncated ciphertext", truncated),
             ("forged count past the flight", forged_count),
             ("trailing byte", trailing),
+            ("residue above its prime", residue_above_prime),
         ];
         for (what, payload) in cases {
             let got = recv_forged(payload, ctx.clone());

@@ -93,13 +93,6 @@ pub fn relu(b: &mut CircuitBuilder, v: &[Bit]) -> Word {
     out
 }
 
-/// Absolute value.
-pub fn abs(b: &mut CircuitBuilder, v: &Word) -> Word {
-    let sign = *v.last().expect("non-empty");
-    let negated = b.neg(v);
-    b.mux_word(sign, &negated, v)
-}
-
 /// Maximum of two signed words.
 pub fn max_signed(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
     let lt = b.lt_signed(x, y);
@@ -213,23 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn relu_abs_max() {
+    fn relu_max() {
         let mut b = CircuitBuilder::new();
         let xs = b.garbler_input(8);
         let ys = b.evaluator_input(8);
         let r = relu(&mut b, &xs);
-        let a = abs(&mut b, &xs);
         let m = max_signed(&mut b, &xs, &ys);
         let mut outs = r;
-        outs.extend(a);
         outs.extend(m);
         let c = b.build(&outs);
         for x in [-100i64, -1, 0, 55] {
             for y in [-7i64, 0, 56] {
                 let out = c.eval_plain(&to_bits(x, 8), &to_bits(y, 8));
                 assert_eq!(from_bits_signed(&out[..8]), x.max(0), "relu {x}");
-                assert_eq!(from_bits_signed(&out[8..16]), x.abs(), "abs {x}");
-                assert_eq!(from_bits_signed(&out[16..]), x.max(y), "max {x} {y}");
+                assert_eq!(from_bits_signed(&out[8..]), x.max(y), "max {x} {y}");
             }
         }
     }

@@ -3,6 +3,7 @@
 use crate::context::HeContext;
 use crate::error::HeError;
 use crate::poly::RnsPoly;
+use primer_math::codec::Rdr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -91,64 +92,42 @@ impl Ciphertext {
         }
     }
 
-    /// Serializes to bytes (matches [`Ciphertext::serialized_size`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_size());
+    /// Appends the wire encoding to `out` ([`Ciphertext::serialized_size`]
+    /// bytes).
+    pub fn write(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.seed.is_some()));
+        out.push(self.parts.len() as u8);
         match &self.seed {
             Some(seed) => {
-                out.push(1);
-                out.push(self.parts.len() as u8);
-                self.parts[0].write_bytes(&mut out);
+                self.parts[0].write(out);
                 out.extend_from_slice(seed);
             }
-            None => {
-                out.push(0);
-                out.push(self.parts.len() as u8);
-                for p in &self.parts {
-                    p.write_bytes(&mut out);
-                }
-            }
+            None => self.parts.iter().for_each(|p| p.write(out)),
         }
-        out
     }
 
-    /// Deserializes; returns the ciphertext and bytes consumed.
+    /// Reads a ciphertext written by [`Ciphertext::write`].
     ///
     /// # Errors
     ///
     /// [`HeError::Malformed`] on truncated or structurally invalid bytes
     /// (network-facing: a garbage flight must not crash the receiver).
-    pub fn from_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<(Self, usize), HeError> {
-        if bytes.len() < 2 {
-            return Err(HeError::Malformed { what: "ciphertext header" });
-        }
-        let seeded = bytes[0] == 1;
-        let n_parts = bytes[1] as usize;
-        let mut off = 2;
-        if seeded {
+    pub fn read(ctx: &HeContext, r: &mut Rdr) -> Result<Self, HeError> {
+        let [seeded, n_parts] = r.array("ciphertext header")?;
+        if seeded == 1 {
             if n_parts != 2 {
                 return Err(HeError::Malformed { what: "seeded ciphertext part count" });
             }
-            let (c0, used) = RnsPoly::read_bytes(ctx, &bytes[off..])?;
-            off += used;
-            let seed: [u8; 32] = bytes
-                .get(off..off + 32)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(HeError::Malformed { what: "ciphertext seed" })?;
-            off += 32;
+            let c0 = RnsPoly::read(ctx, r)?;
+            let seed = r.array("ciphertext seed")?;
             let a = Self::a_from_seed(ctx, &seed);
-            Ok((Self { parts: vec![c0, a], seed: Some(seed) }, off))
+            Ok(Self { parts: vec![c0, a], seed: Some(seed) })
         } else {
             if !(2..=3).contains(&n_parts) {
                 return Err(HeError::Malformed { what: "ciphertext part count" });
             }
-            let mut parts = Vec::with_capacity(n_parts);
-            for _ in 0..n_parts {
-                let (p, used) = RnsPoly::read_bytes(ctx, &bytes[off..])?;
-                off += used;
-                parts.push(p);
-            }
-            Ok((Self { parts, seed: None }, off))
+            let parts = (0..n_parts).map(|_| RnsPoly::read(ctx, r)).collect::<Result<_, _>>()?;
+            Ok(Self { parts, seed: None })
         }
     }
 
@@ -162,6 +141,7 @@ impl Ciphertext {
 mod tests {
     use super::*;
     use crate::params::HeParams;
+    use primer_math::codec::decode;
 
     #[test]
     fn seed_compression_halves_fresh_size() {
@@ -182,35 +162,42 @@ mod tests {
         assert!(!ct.is_seed_compressible());
     }
 
+    fn to_bytes(ct: &Ciphertext) -> Vec<u8> {
+        let mut out = Vec::new();
+        ct.write(&mut out);
+        out
+    }
+
+    fn from_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<Ciphertext, HeError> {
+        decode(bytes, |r| Ciphertext::read(ctx, r))
+    }
+
     #[test]
     fn serialization_roundtrip_both_forms() {
         let ctx = HeContext::new(HeParams::toy());
         let seed = [3u8; 32];
         let a = Ciphertext::a_from_seed(&ctx, &seed);
         let fresh = Ciphertext::new(vec![a.clone(), a.clone()], Some(seed));
-        let bytes = fresh.to_bytes();
+        let bytes = to_bytes(&fresh);
         assert_eq!(bytes.len(), fresh.serialized_size());
-        let (back, used) = Ciphertext::from_bytes(&ctx, &bytes).expect("roundtrip");
-        assert_eq!(used, bytes.len());
-        assert_eq!(back, fresh);
+        assert_eq!(from_bytes(&ctx, &bytes).expect("roundtrip"), fresh);
 
         let evaluated = Ciphertext::new(vec![a.clone(), a], None);
-        let bytes = evaluated.to_bytes();
-        let (back, _) = Ciphertext::from_bytes(&ctx, &bytes).expect("roundtrip");
-        assert_eq!(back, evaluated);
+        let bytes = to_bytes(&evaluated);
+        assert_eq!(bytes.len(), evaluated.serialized_size());
+        assert_eq!(from_bytes(&ctx, &bytes).expect("roundtrip"), evaluated);
     }
 
     #[test]
     fn truncated_and_malformed_bytes_are_errors_not_panics() {
-        use crate::error::HeError;
         let ctx = HeContext::new(HeParams::toy());
         let seed = [5u8; 32];
         let a = Ciphertext::a_from_seed(&ctx, &seed);
         let fresh = Ciphertext::new(vec![a.clone(), a], Some(seed));
-        let bytes = fresh.to_bytes();
+        let bytes = to_bytes(&fresh);
         // Every strict prefix must decode to an error, never a panic.
         for cut in [0usize, 1, 2, 10, bytes.len() / 2, bytes.len() - 1] {
-            let got = Ciphertext::from_bytes(&ctx, &bytes[..cut]);
+            let got = from_bytes(&ctx, &bytes[..cut]);
             assert!(
                 matches!(got, Err(HeError::Malformed { .. })),
                 "prefix of {cut} bytes must be Malformed"
@@ -220,6 +207,10 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 0; // not seeded …
         bad[1] = 77; // … with 77 parts
-        assert!(Ciphertext::from_bytes(&ctx, &bad).is_err());
+        assert!(from_bytes(&ctx, &bad).is_err());
+        // So is a residue at or above its prime.
+        let mut bad = bytes;
+        bad[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(from_bytes(&ctx, &bad), Err(HeError::Malformed { what: "poly residue" }));
     }
 }

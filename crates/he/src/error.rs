@@ -1,5 +1,6 @@
 //! Error type for fallible HE operations.
 
+use primer_math::codec::WireError;
 use std::fmt;
 
 /// Errors returned by fallible evaluator operations.
@@ -52,6 +53,15 @@ impl fmt::Display for HeError {
 }
 
 impl std::error::Error for HeError {}
+
+impl From<WireError> for HeError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Short { what } => HeError::Malformed { what },
+            WireError::Trailing => HeError::Malformed { what: "trailing bytes" },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,6 +4,7 @@ use crate::context::HeContext;
 use crate::error::HeError;
 use crate::galois;
 use crate::poly::RnsPoly;
+use primer_math::codec::{put_u32, put_u64, Rdr};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -105,7 +106,7 @@ impl KskKey {
         self.digit_bits
     }
 
-    /// Wire size in bytes (matches [`KskKey::write_bytes`] exactly).
+    /// Wire size in bytes (matches [`KskKey::write`] exactly).
     pub fn serialized_size(&self) -> usize {
         2 + self
             .parts
@@ -120,63 +121,51 @@ impl KskKey {
     }
 
     /// Appends the wire encoding to `out`.
-    fn write_bytes(&self, out: &mut Vec<u8>) {
+    fn write(&self, out: &mut Vec<u8>) {
         out.push(self.digit_bits as u8);
         out.push(self.parts.len() as u8);
         for prime_parts in &self.parts {
             out.push(prime_parts.len() as u8);
             for (b, a) in prime_parts {
-                b.write_bytes(out);
-                a.write_bytes(out);
+                b.write(out);
+                a.write(out);
             }
         }
     }
 
-    /// Reads a key written by [`KskKey::write_bytes`]; returns the key
-    /// and the bytes consumed.
+    /// Reads a key written by [`KskKey::write`].
     ///
     /// # Errors
     ///
     /// [`HeError::Malformed`] on truncated or structurally invalid
     /// input — key material arrives over the network during session
     /// Setup, so this path must never panic on attacker-shaped bytes.
-    fn read_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<(Self, usize), HeError> {
-        if bytes.len() < 2 {
-            return Err(HeError::Malformed { what: "ksk header" });
-        }
-        let digit_bits = u32::from(bytes[0]);
+    fn read(ctx: &HeContext, r: &mut Rdr) -> Result<Self, HeError> {
+        let [digit_bits, n_primes] = r.array("ksk header")?;
+        let digit_bits = u32::from(digit_bits);
         // The digit width is fixed by the parameter set; a key with any
         // other width would pass Setup and then index out of bounds (or
         // silently compute garbage) during the first hoisted key switch.
         if digit_bits != ctx.params().decomp_bits() {
             return Err(HeError::Malformed { what: "ksk digit width" });
         }
-        let n_primes = bytes[1] as usize;
-        if n_primes != ctx.num_primes() {
+        if usize::from(n_primes) != ctx.num_primes() {
             return Err(HeError::Malformed { what: "ksk prime count" });
         }
-        let mut off = 2;
-        let mut parts = Vec::with_capacity(n_primes);
-        for i in 0..n_primes {
-            let &digits = bytes.get(off).ok_or(HeError::Malformed { what: "ksk digit count" })?;
-            let digits = digits as usize;
+        let mut parts = Vec::with_capacity(ctx.num_primes());
+        for m in ctx.moduli() {
+            let digits = usize::from(r.u8("ksk digit count")?);
             // The digit count is fully determined by (prime, width);
             // anything else is a forgery or corruption.
-            if digits != digits_for_prime(ctx.moduli()[i].value(), digit_bits) as usize {
+            if digits != digits_for_prime(m.value(), digit_bits) as usize {
                 return Err(HeError::Malformed { what: "ksk digit count" });
             }
-            off += 1;
-            let mut prime_parts = Vec::with_capacity(digits);
-            for _ in 0..digits {
-                let (b, used) = RnsPoly::read_bytes(ctx, &bytes[off..])?;
-                off += used;
-                let (a, used) = RnsPoly::read_bytes(ctx, &bytes[off..])?;
-                off += used;
-                prime_parts.push((b, a));
-            }
+            let prime_parts = (0..digits)
+                .map(|_| Ok((RnsPoly::read(ctx, r)?, RnsPoly::read(ctx, r)?)))
+                .collect::<Result<_, HeError>>()?;
             parts.push(prime_parts);
         }
-        Ok((Self { parts, digit_bits }, off))
+        Ok(Self { parts, digit_bits })
     }
 }
 
@@ -218,7 +207,7 @@ impl GaloisKeys {
     }
 
     /// Wire size in bytes (these keys travel client → server once per
-    /// session, during Setup). Matches [`GaloisKeys::to_bytes`] exactly.
+    /// session, during Setup). Matches [`GaloisKeys::write`] exactly.
     pub fn serialized_size(&self) -> usize {
         1 + 4
             + 4 * self.steps.len()
@@ -226,28 +215,25 @@ impl GaloisKeys {
             + self.keys.values().map(|k| 8 + k.serialized_size()).sum::<usize>()
     }
 
-    /// Serializes for the wire. Keys are written in ascending galois
-    /// element order so the encoding is deterministic (the backing map is
-    /// unordered).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_size());
+    /// Appends the wire encoding to `out`. Keys are written in ascending
+    /// galois element order so the encoding is deterministic (the
+    /// backing map is unordered).
+    pub fn write(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.columns));
-        out.extend_from_slice(&(self.steps.len() as u32).to_le_bytes());
+        put_u32(out, self.steps.len() as u32);
         for &s in &self.steps {
-            out.extend_from_slice(&(s as u32).to_le_bytes());
+            put_u32(out, s as u32);
         }
         let mut elements: Vec<u64> = self.keys.keys().copied().collect();
         elements.sort_unstable();
-        out.extend_from_slice(&(elements.len() as u32).to_le_bytes());
+        put_u32(out, elements.len() as u32);
         for e in elements {
-            out.extend_from_slice(&e.to_le_bytes());
-            self.keys[&e].write_bytes(&mut out);
+            put_u64(out, e);
+            self.keys[&e].write(out);
         }
-        debug_assert_eq!(out.len(), self.serialized_size());
-        out
     }
 
-    /// Deserializes keys produced by [`GaloisKeys::to_bytes`].
+    /// Reads keys written by [`GaloisKeys::write`].
     ///
     /// # Errors
     ///
@@ -255,49 +241,25 @@ impl GaloisKeys {
     /// invalid input. This is the first network flight a serving worker
     /// decodes, so a garbage handshake must surface as an error, not a
     /// panic.
-    pub fn from_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<Self, HeError> {
-        let take4 = |off: usize| -> Result<u32, HeError> {
-            bytes
-                .get(off..off + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or(HeError::Malformed { what: "galois key header" })
-        };
-        if bytes.is_empty() {
-            return Err(HeError::Malformed { what: "galois key header" });
-        }
-        let columns = bytes[0] == 1;
-        let n_steps = take4(1)? as usize;
+    pub fn read(ctx: &HeContext, r: &mut Rdr) -> Result<Self, HeError> {
+        let columns = r.u8("galois key header")? == 1;
+        let n_steps = r.u32("galois key header")? as usize;
         // A step list longer than the distinct rotations of the ring is
         // nonsense; bound it before allocating anything.
         if n_steps > ctx.n() {
             return Err(HeError::Malformed { what: "galois step count" });
         }
-        let mut off = 5;
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            steps.push(take4(off)? as usize);
-            off += 4;
-        }
-        let n_keys = take4(off)? as usize;
+        let steps = (0..n_steps)
+            .map(|_| Ok(r.u32("galois key header")? as usize))
+            .collect::<Result<_, HeError>>()?;
+        let n_keys = r.u32("galois key header")? as usize;
         if n_keys > 2 * ctx.n() {
             return Err(HeError::Malformed { what: "galois key count" });
         }
-        off += 4;
         let mut keys = HashMap::with_capacity(n_keys);
         for _ in 0..n_keys {
-            let element = bytes
-                .get(off..off + 8)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or(HeError::Malformed { what: "galois element" })?;
-            off += 8;
-            let (key, used) = KskKey::read_bytes(ctx, &bytes[off..])?;
-            off += used;
-            keys.insert(element, key);
-        }
-        if off != bytes.len() {
-            return Err(HeError::Malformed { what: "galois keys trailing bytes" });
+            let element = r.u64("galois element")?;
+            keys.insert(element, KskKey::read(ctx, r)?);
         }
         Ok(Self { keys, steps, columns })
     }
@@ -400,6 +362,7 @@ impl KeyGenerator {
 mod tests {
     use super::*;
     use crate::params::HeParams;
+    use primer_math::codec::decode;
     use primer_math::rng::seeded;
 
     #[test]
@@ -430,6 +393,16 @@ mod tests {
         assert!(gk.has_columns());
     }
 
+    fn to_bytes(gk: &GaloisKeys) -> Vec<u8> {
+        let mut out = Vec::new();
+        gk.write(&mut out);
+        out
+    }
+
+    fn from_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<GaloisKeys, HeError> {
+        decode(bytes, |r| GaloisKeys::read(ctx, r))
+    }
+
     #[test]
     fn galois_keys_roundtrip_through_bytes() {
         use crate::encoder::BatchEncoder;
@@ -440,12 +413,12 @@ mod tests {
         let mut rng = seeded(34);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let gk = kg.galois_keys(&[1, 4], true, &mut rng);
-        let bytes = gk.to_bytes();
+        let bytes = to_bytes(&gk);
         assert_eq!(bytes.len(), gk.serialized_size());
-        let back = GaloisKeys::from_bytes(&ctx, &bytes).expect("well-formed keys");
+        let back = from_bytes(&ctx, &bytes).expect("well-formed keys");
         assert_eq!(back.steps(), gk.steps());
         assert!(back.has_columns());
-        assert_eq!(back.to_bytes(), bytes, "re-serialization must be stable");
+        assert_eq!(to_bytes(&back), bytes, "re-serialization must be stable");
 
         // The deserialized keys must actually rotate: a fresh evaluator
         // using only `back` produces the same slots as the original keys.
@@ -468,22 +441,29 @@ mod tests {
         let mut rng = seeded(36);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let gk = kg.galois_keys(&[1], false, &mut rng);
-        let bytes = gk.to_bytes();
+        let bytes = to_bytes(&gk);
         // Truncation anywhere (header, step list, mid-poly, last byte).
         for cut in [0usize, 3, 5, 17, bytes.len() / 3, bytes.len() - 1] {
             assert!(
-                GaloisKeys::from_bytes(&ctx, &bytes[..cut]).is_err(),
+                from_bytes(&ctx, &bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must fail to decode"
             );
         }
         // Trailing garbage is rejected (exact-length framing).
         let mut long = bytes.clone();
         long.push(0);
-        assert!(GaloisKeys::from_bytes(&ctx, &long).is_err());
+        assert!(from_bytes(&ctx, &long).is_err());
         // Absurd step count cannot trigger a huge allocation or panic.
         let mut bad = bytes.clone();
         bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(GaloisKeys::from_bytes(&ctx, &bad).is_err());
+        assert!(from_bytes(&ctx, &bad).is_err());
+        // A residue at or above its prime: the first residue of the one
+        // key's first polynomial, after the 13-byte header and step
+        // list, the 8-byte element, the 3 key header bytes and the
+        // 2-byte poly header.
+        let mut bad = bytes;
+        bad[26..34].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(from_bytes(&ctx, &bad).err(), Some(HeError::Malformed { what: "poly residue" }));
     }
 
     #[test]

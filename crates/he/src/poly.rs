@@ -3,6 +3,7 @@
 use crate::context::HeContext;
 use crate::error::HeError;
 use crate::simd;
+use primer_math::codec::{put_u64, Rdr};
 use rand::Rng;
 
 /// A polynomial in `R_q`, stored as one residue vector per RNS prime,
@@ -370,48 +371,40 @@ impl RnsPoly {
     }
 
     /// Appends the wire encoding (form byte + residues LE) to `out`.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+    pub fn write(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.ntt_form));
         out.push(self.values.len() as u8);
         for residues in &self.values {
             for &v in residues {
-                out.extend_from_slice(&v.to_le_bytes());
+                put_u64(out, v);
             }
         }
     }
 
-    /// Reads a polynomial written by [`RnsPoly::write_bytes`]; returns
-    /// the poly and the number of bytes consumed.
+    /// Reads a polynomial written by [`RnsPoly::write`].
     ///
     /// # Errors
     ///
-    /// [`HeError::Malformed`] on truncated input or a prime count that
-    /// does not match the context (network-facing: never panics).
-    pub fn read_bytes(ctx: &HeContext, bytes: &[u8]) -> Result<(Self, usize), HeError> {
-        if bytes.len() < 2 {
-            return Err(HeError::Malformed { what: "poly header" });
-        }
-        let ntt_form = bytes[0] == 1;
-        let primes = bytes[1] as usize;
-        if primes != ctx.num_primes() {
+    /// [`HeError::Malformed`] on truncated input, a prime count that
+    /// does not match the context, or a residue not below its prime —
+    /// the arithmetic assumes canonical residues, and these bytes come
+    /// from the peer.
+    pub fn read(ctx: &HeContext, r: &mut Rdr) -> Result<Self, HeError> {
+        let [form, primes] = r.array("poly header")?;
+        if usize::from(primes) != ctx.num_primes() {
             return Err(HeError::Malformed { what: "poly prime count" });
         }
         let n = ctx.n();
-        let need = 2 + primes * n * 8;
-        if bytes.len() < need {
-            return Err(HeError::Malformed { what: "poly residues" });
-        }
-        let mut off = 2;
-        let mut values = Vec::with_capacity(primes);
-        for _ in 0..primes {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(u64::from_le_bytes(bytes[off..off + 8].try_into().expect("u64")));
-                off += 8;
+        let mut residues = r.u64s(ctx.num_primes() * n, "poly residues")?;
+        let mut values = Vec::with_capacity(ctx.num_primes());
+        for m in ctx.moduli() {
+            let v: Vec<u64> = residues.by_ref().take(n).collect();
+            if v.iter().any(|&x| x >= m.value()) {
+                return Err(HeError::Malformed { what: "poly residue" });
             }
             values.push(v);
         }
-        Ok((Self { values, ntt_form }, off))
+        Ok(Self { values, ntt_form: form == 1 })
     }
 }
 

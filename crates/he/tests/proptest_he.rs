@@ -1,6 +1,7 @@
 //! Property-based tests of the HE scheme's homomorphisms.
 
 use primer_he::{BatchEncoder, Encryptor, Evaluator, HeContext, HeParams, KeyGenerator};
+use primer_math::codec::decode;
 use primer_math::rng::seeded;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -116,11 +117,11 @@ proptest! {
             let fresh = f.encryptor.encrypt(&f.encoder.encode(&vals));
             let evaluated = f.eval.add(&fresh, &fresh);
             for ct in [fresh, evaluated] {
-                let bytes = ct.to_bytes();
+                let mut bytes = Vec::new();
+                ct.write(&mut bytes);
                 prop_assert_eq!(bytes.len(), ct.serialized_size());
-                let (back, used) =
-                    primer_he::Ciphertext::from_bytes(&f.ctx, &bytes).expect("roundtrip");
-                prop_assert_eq!(used, bytes.len());
+                let back = decode(&bytes, |r| primer_he::Ciphertext::read(&f.ctx, r))
+                    .expect("roundtrip");
                 prop_assert_eq!(back, ct);
             }
             Ok(())
@@ -133,10 +134,11 @@ proptest! {
     fn truncated_ciphertext_bytes_error_cleanly(cut_seed in 0u64..10_000) {
         with_fixture(|f| {
             let ct = f.encryptor.encrypt(&f.encoder.encode(&[1, 2, 3]));
-            let bytes = ct.to_bytes();
+            let mut bytes = Vec::new();
+            ct.write(&mut bytes);
             let mut rng = seeded(cut_seed);
             let cut = rand::Rng::gen_range(&mut rng, 0..bytes.len());
-            prop_assert!(primer_he::Ciphertext::from_bytes(&f.ctx, &bytes[..cut]).is_err());
+            prop_assert!(decode(&bytes[..cut], |r| primer_he::Ciphertext::read(&f.ctx, r)).is_err());
             Ok(())
         })?;
     }

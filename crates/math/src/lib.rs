@@ -14,7 +14,9 @@
 //!   bit-exactly,
 //! * [`activation`] — f64 references and THE-X-style polynomial
 //!   approximations,
-//! * [`rng`] — deterministic seeded randomness.
+//! * [`rng`] — deterministic seeded randomness,
+//! * [`codec`] — the one little-endian, length-checked byte codec every
+//!   flight, key set and suspend image is written and read with.
 //!
 //! ```
 //! use primer_math::{FixedSpec, Ring};
@@ -25,6 +27,7 @@
 //! ```
 
 pub mod activation;
+pub mod codec;
 pub mod fixed;
 pub mod fxp;
 pub mod matrix;

@@ -33,6 +33,7 @@
 //! assert_eq!(meter.total_messages(), 2);
 //! ```
 
+mod frame;
 pub mod mem;
 pub mod metering;
 pub mod model;

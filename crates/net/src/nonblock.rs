@@ -22,10 +22,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
-use crate::tcp::NUM_CHANNELS;
-
-/// Frame-size bound shared with the threaded reader (1 GiB).
-const MAX_FRAME_LEN: u32 = 1 << 30;
+use crate::frame::{self, HEADER_LEN};
 
 /// Pre-admission frames are small (hello, stats request): a corrupt or
 /// hostile length prefix above this fails the connection before any
@@ -91,7 +88,7 @@ impl NbConn {
     /// mean the connection should be dropped.
     pub fn poll_frame(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
         self.fill_read_buf()?;
-        if self.read_buf.len() < 5 {
+        let Some(header) = self.read_buf.first_chunk() else {
             if self.eof {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -99,19 +96,16 @@ impl NbConn {
                 ));
             }
             return Ok(None);
-        }
-        let channel = self.read_buf[0];
-        let len = u32::from_le_bytes(self.read_buf[1..5].try_into().expect("4 bytes"));
-        if usize::from(channel) >= NUM_CHANNELS || len > MAX_FRAME_LEN {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "corrupt framing"));
-        }
+        };
+        let (channel, len) = frame::parse(header)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt framing"))?;
         if len > MAX_PREADMIT_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "pre-admission frame too large",
             ));
         }
-        let total = 5 + len as usize;
+        let total = HEADER_LEN + len as usize;
         if self.read_buf.len() < total {
             if self.eof {
                 return Err(io::Error::new(
@@ -121,7 +115,7 @@ impl NbConn {
             }
             return Ok(None);
         }
-        let payload = self.read_buf[5..total].to_vec();
+        let payload = self.read_buf[HEADER_LEN..total].to_vec();
         self.read_buf.drain(..total);
         Ok(Some((channel, payload)))
     }
@@ -147,11 +141,7 @@ impl NbConn {
 
     /// Stages one frame on the write buffer (flushed by [`NbConn::flush`]).
     pub fn queue_frame(&mut self, channel: u8, payload: &[u8]) {
-        assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64, "frame too large");
-        let mut header = [0u8; 5];
-        header[0] = channel;
-        header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.write_buf.extend(header);
+        self.write_buf.extend(frame::encode(channel, payload.len()));
         self.write_buf.extend(payload);
     }
 
@@ -221,8 +211,7 @@ mod tests {
     }
 
     fn send_frame(stream: &mut TcpStream, channel: u8, payload: &[u8]) {
-        let mut buf = vec![channel];
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let mut buf = frame::encode(channel, payload.len()).to_vec();
         buf.extend_from_slice(payload);
         stream.write_all(&buf).expect("write frame");
     }

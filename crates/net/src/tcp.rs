@@ -28,6 +28,7 @@
 //!   meters therefore agree with each other — and with the single
 //!   shared meter of the in-process [`crate::MemTransport`] path.
 
+use crate::frame;
 use crate::metering::Meter;
 use crate::transport::{MeteredTransport, Transport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -37,10 +38,6 @@ use std::sync::{Arc, Mutex};
 
 /// Logical channels multiplexed over one connection.
 pub const NUM_CHANNELS: usize = 4;
-
-/// Upper bound on a single frame (1 GiB) — a corrupted length prefix
-/// fails loudly instead of attempting an absurd allocation.
-const MAX_FRAME_LEN: u32 = 1 << 30;
 
 struct ConnShared {
     /// All channels share one framed writer; a frame is written and
@@ -197,23 +194,21 @@ impl TcpConnection {
 
 fn read_loop<R: Read>(mut stream: R, senders: Vec<Sender<Vec<u8>>>) {
     loop {
-        let mut header = [0u8; 5];
+        let mut header = [0u8; frame::HEADER_LEN];
         match stream.read_exact(&mut header) {
             Ok(()) => {}
             // Clean EOF between frames or any socket error: drop the
             // senders so blocked receivers see the disconnect.
             Err(_) => return,
         }
-        let channel = header[0] as usize;
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("4 bytes"));
-        if channel >= NUM_CHANNELS || len > MAX_FRAME_LEN {
+        let Some((channel, len)) = frame::parse(&header) else {
             return; // corrupted framing — fail the connection
-        }
+        };
         let mut payload = vec![0u8; len as usize];
         if stream.read_exact(&mut payload).is_err() {
             return;
         }
-        if senders[channel].send(payload).is_err() {
+        if senders[usize::from(channel)].send(payload).is_err() {
             // The channel endpoint was dropped; keep draining the other
             // channels (e.g. stats frames after the online channel died).
             continue;
@@ -238,16 +233,13 @@ impl std::fmt::Debug for TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&self, bytes: &[u8]) {
-        assert!(bytes.len() as u64 <= MAX_FRAME_LEN as u64, "frame too large");
+        let header = frame::encode(self.channel, bytes.len());
         if self.shared.is_client {
             self.meter.c2s.record(bytes.len());
         } else {
             self.meter.s2c.record(bytes.len());
         }
         let mut w = self.shared.writer.lock().expect("tcp writer mutex poisoned");
-        let mut header = [0u8; 5];
-        header[0] = self.channel;
-        header[1..5].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
         w.write_all(&header).expect("peer endpoint dropped mid-protocol");
         w.write_all(bytes).expect("peer endpoint dropped mid-protocol");
         w.flush().expect("peer endpoint dropped mid-protocol");

@@ -24,7 +24,8 @@
 //! flight and suspend image uses; strings are `u32`-length-prefixed
 //! UTF-8.
 
-use primer_core::wire::{decode, put_traffic, put_u32, put_u64, read_traffic, Rdr, WireError};
+use primer_core::wire::{put_traffic, read_traffic};
+use primer_math::codec::{decode, put_u32, put_u64, Rdr, WireError};
 use primer_core::{GcMode, ProtocolVariant};
 use primer_net::TrafficSnapshot;
 use primer_nn::TransformerConfig;

@@ -31,9 +31,8 @@ use crate::proto::{
     profile_code, profile_from_code, put_model, put_prelude, put_string, read_model,
     read_prelude, read_string, read_variant, Profile, ProtoError,
 };
-use primer_core::wire::{
-    decode, put_phase_cost, put_traffic, put_u32, put_u64, read_phase_cost, read_traffic,
-};
+use primer_core::wire::{put_phase_cost, put_traffic, read_phase_cost, read_traffic};
+use primer_math::codec::{decode, put_u32, put_u64};
 use primer_core::{PhaseCost, ProtocolVariant};
 use primer_net::TrafficSnapshot;
 use primer_nn::TransformerConfig;
