@@ -173,10 +173,8 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
 
     // Re-embed into the ring and subtract the client's fresh mask.
     let mut outputs: Vec<Bit> = Vec::with_capacity(n * rb);
-    // Every result is saturated to `bits`, so its bits above are sign
-    // copies the builder cannot see as such: embed the low `bits` only.
     for (res, mask) in results.iter().zip(&masks) {
-        let ring_val = ring_embed(&mut b, &res[..bits as usize].to_vec(), t);
+        let ring_val = ring_embed(&mut b, res, t);
         let shared = sub_mod(&mut b, &ring_val, mask, t);
         outputs.extend_from_slice(&shared);
     }

@@ -378,6 +378,12 @@ mod tests {
             b[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
             b
         };
+        // Count and ciphertext header, then c0's form byte.
+        let c0_form = |form: u8| {
+            let mut b = good.clone();
+            b[6] = form;
+            b
+        };
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("empty flight", vec![]),
             ("truncated header", vec![2, 0]),
@@ -386,6 +392,8 @@ mod tests {
             ("forged count past the flight", forged_count),
             ("trailing byte", trailing),
             ("residue above its prime", residue_above_prime),
+            ("c0 in coefficient form", c0_form(0)),
+            ("c0 form byte past 1", c0_form(2)),
         ];
         for (what, payload) in cases {
             let got = recv_forged(payload, ctx.clone());

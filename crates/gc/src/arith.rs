@@ -70,7 +70,9 @@ pub fn ring_embed(b: &mut CircuitBuilder, v: &Word, t: u64) -> Word {
 }
 
 /// Saturating clamp to the signed `bits`-bit range — the paper's 15-bit
-/// re-truncation bound (matches `FixedSpec::saturate`).
+/// re-truncation bound (matches `FixedSpec::saturate`). The clamped value
+/// fits in `bits`, so the result is its low `bits` sign-extended to the
+/// input width: every bit above is the sign wire itself.
 pub fn saturate(b: &mut CircuitBuilder, v: &Word, bits: u32) -> Word {
     let max = (1i64 << (bits - 1)) - 1;
     let min = -(1i64 << (bits - 1));
@@ -80,7 +82,8 @@ pub fn saturate(b: &mut CircuitBuilder, v: &Word, bits: u32) -> Word {
     let over = b.lt_signed(&max_c, v);
     let clamped_hi = b.mux_word(over, &max_c, v);
     let under = b.lt_signed(&clamped_hi, &min_c);
-    b.mux_word(under, &min_c, &clamped_hi)
+    let clamped = b.mux_word(under, &min_c, &clamped_hi);
+    b.resize_signed(&clamped[..bits as usize], w)
 }
 
 /// ReLU on a two's-complement word: the value bits masked by the
@@ -128,14 +131,16 @@ pub fn msb_index(b: &mut CircuitBuilder, v: &Word, idx_bits: usize) -> Word {
 
 /// Two-sided dynamic shift matching `fxp::shift_signed(x, -s)`: right
 /// shift by `s` when `s ≥ 0`, left shift by `−s` otherwise. `s` is a
-/// signed word.
-pub fn shift_by_neg_signed(b: &mut CircuitBuilder, x: &Word, s: &Word) -> Word {
+/// signed word with `s ≥ −max_left`, so the left shifter reads only the
+/// amount bits `max_left` needs.
+pub fn shift_by_neg_signed(b: &mut CircuitBuilder, x: &Word, s: &Word, max_left: usize) -> Word {
     let sign = *s.last().expect("non-empty");
     let mag_neg = b.neg(s);
     let mag = b.mux_word(sign, &mag_neg, s);
     let mag_u = mag[..mag.len() - 1].to_vec(); // drop sign bit, |s| small
     let right = b.shr_arith_dyn(x, &mag_u);
-    let left = b.shl_dyn(x, &mag_u);
+    let left_bits = (usize::BITS - max_left.leading_zeros()) as usize;
+    let left = b.shl_dyn(x, &mag_u[..left_bits.min(mag_u.len())]);
     b.mux_word(sign, &left, &right)
 }
 
@@ -205,6 +210,19 @@ mod tests {
         }
     }
 
+    /// The bits above `bits` are the sign wire itself, so the builder
+    /// reads the clamp's width off the result.
+    #[test]
+    fn saturate_extends_with_its_sign_wire() {
+        let mut b = CircuitBuilder::new();
+        let xs = b.garbler_input(48);
+        let out = saturate(&mut b, &xs, 12);
+        assert_eq!(out.len(), 48);
+        assert!(matches!(out[11], Bit::Wire(_)));
+        assert!(out[12..].iter().all(|&o| o == out[11]));
+        assert_eq!(crate::builder::sig_len(&out), 12);
+    }
+
     #[test]
     fn relu_max() {
         let mut b = CircuitBuilder::new();
@@ -241,7 +259,7 @@ mod tests {
         let mut b = CircuitBuilder::new();
         let xs = b.garbler_input(24);
         let ss = b.evaluator_input(6);
-        let out = shift_by_neg_signed(&mut b, &xs, &ss);
+        let out = shift_by_neg_signed(&mut b, &xs, &ss, 8);
         let c = b.build(&out);
         for x in [123456i64, -9999, 1, 0] {
             for s in [-8i64, -1, 0, 1, 5, 12] {

@@ -7,6 +7,14 @@
 //! gate its outputs do not depend on — circuits stay as small as the
 //! dataflow allows, however wastefully a gadget is written (`mul_q`
 //! builds a full product and keeps half of it).
+//!
+//! A word's width is read off its wires: the top bits that equal the bit
+//! below them — the same constant or the same wire — are sign copies
+//! (`sig_len`). `add`, `sub` and `mul_full_signed`, and through them
+//! `neg`, `mul` and `lt_signed`, run only over their operands'
+//! significant bits and sign-extend the result with its own top wire, so
+//! the value is the full-width one on every input and the next gadget
+//! sees the result's width too.
 
 use crate::circuit::{Circuit, Gate, OutBit, WireId, WrittenCounts};
 
@@ -199,8 +207,9 @@ impl CircuitBuilder {
         a.iter().zip(b).map(|(&x, &y)| self.xor(x, y)).collect()
     }
 
-    /// Ripple-carry addition with explicit carry-in; returns (sum, carry).
-    pub fn add_with_carry(&mut self, a: &Word, b: &Word, carry_in: Bit) -> (Word, Bit) {
+    /// Ripple-carry addition with explicit carry-in over the whole width;
+    /// returns (sum, carry).
+    pub fn add_with_carry(&mut self, a: &[Bit], b: &[Bit], carry_in: Bit) -> (Word, Bit) {
         assert_eq!(a.len(), b.len(), "add width mismatch");
         let mut c = carry_in;
         let mut sum = Vec::with_capacity(a.len());
@@ -215,15 +224,27 @@ impl CircuitBuilder {
         (sum, c)
     }
 
-    /// Wrapping addition.
-    pub fn add(&mut self, a: &Word, b: &Word) -> Word {
-        self.add_with_carry(a, b, Bit::Const(false)).0
+    /// Width an exact `a ± b` needs: one bit past the longer significant
+    /// length, at most the word's.
+    fn sum_width(a: &Word, b: &Word) -> usize {
+        assert_eq!(a.len(), b.len(), "add width mismatch");
+        (sig_len(a).max(sig_len(b)) + 1).min(a.len())
     }
 
-    /// Wrapping subtraction `a − b`.
+    /// Wrapping addition, its carry chain over the operands' significant
+    /// bits and one more.
+    pub fn add(&mut self, a: &Word, b: &Word) -> Word {
+        let k = Self::sum_width(a, b);
+        let sum = self.add_with_carry(&a[..k], &b[..k], Bit::Const(false)).0;
+        self.resize_signed(&sum, a.len())
+    }
+
+    /// Wrapping subtraction `a − b`, narrowed as [`Self::add`].
     pub fn sub(&mut self, a: &Word, b: &Word) -> Word {
-        let nb: Word = b.iter().map(|&x| self.not(x)).collect();
-        self.add_with_carry(a, &nb, Bit::Const(true)).0
+        let k = Self::sum_width(a, b);
+        let nb: Word = b[..k].iter().map(|&x| self.not(x)).collect();
+        let diff = self.add_with_carry(&a[..k], &nb, Bit::Const(true)).0;
+        self.resize_signed(&diff, a.len())
     }
 
     /// Two's-complement negation.
@@ -233,8 +254,8 @@ impl CircuitBuilder {
     }
 
     /// Sign-extends (or truncates) to `width`.
-    pub fn resize_signed(&mut self, a: &Word, width: usize) -> Word {
-        let mut out = a.clone();
+    pub fn resize_signed(&mut self, a: &[Bit], width: usize) -> Word {
+        let mut out = a.to_vec();
         let sign = *a.last().expect("non-empty word");
         out.resize(width, sign);
         out.truncate(width);
@@ -251,25 +272,27 @@ impl CircuitBuilder {
 
     /// Full signed multiplication: `a × b` at width `a.len()+b.len()`.
     ///
-    /// Shift-and-add over sign-extended operands; constant bits fold, so
-    /// multiplying by a constant only costs adders for its set bits.
+    /// Shift-and-add over the operands' significant bits, `ka × kb`, into
+    /// a `ka + kb`-bit product that is sign-extended to the full width;
+    /// constant bits fold, so multiplying by a constant only costs adders
+    /// for its set bits.
     pub fn mul_full_signed(&mut self, a: &Word, b: &Word) -> Word {
-        let out_w = a.len() + b.len();
-        let ax = self.resize_signed(a, out_w);
-        let mut acc = self.const_word(0, out_w);
-        for (i, &bi) in b.iter().enumerate() {
+        let (ka, kb) = (sig_len(a), sig_len(b));
+        let k = ka + kb;
+        let mut acc = self.const_word(0, k);
+        for (i, &bi) in b[..kb].iter().enumerate() {
             // Partial product: (a << i) masked by b_i.
-            let mut shifted = vec![Bit::Const(false); i];
-            shifted.extend_from_slice(&ax[..out_w - i]);
-            let masked: Word = shifted.iter().map(|&x| self.and(bi, x)).collect();
-            if i + 1 == b.len() {
+            let mut masked = vec![Bit::Const(false); i];
+            masked.extend(a[..ka].iter().map(|&x| self.and(bi, x)));
+            let masked = self.resize_signed(&masked, k);
+            if i + 1 == kb {
                 // Two's complement: the top partial product is subtracted.
                 acc = self.sub(&acc, &masked);
             } else {
                 acc = self.add(&acc, &masked);
             }
         }
-        acc
+        self.resize_signed(&acc, a.len() + b.len())
     }
 
     /// Wrapping signed multiplication at the operand width.
@@ -339,7 +362,7 @@ impl CircuitBuilder {
     }
 
     /// Logical shift left by a dynamic amount (unsigned word).
-    pub fn shl_dyn(&mut self, a: &Word, amount: &Word) -> Word {
+    pub fn shl_dyn(&mut self, a: &Word, amount: &[Bit]) -> Word {
         let mut cur = a.clone();
         for (j, &aj) in amount.iter().enumerate() {
             if (1usize << j) >= 2 * a.len() {
@@ -375,6 +398,17 @@ impl CircuitBuilder {
 }
 
 const EVAL_TAG: u32 = 1 << 31;
+
+/// Significant length of `a`: the shortest prefix whose top bit every
+/// higher bit equals as a [`Bit`] — the same constant or the same wire.
+/// The bits above are sign copies, for every input.
+pub(crate) fn sig_len(a: &[Bit]) -> usize {
+    let mut k = a.len();
+    while k > 1 && a[k - 1] == a[k - 2] {
+        k -= 1;
+    }
+    k
+}
 
 /// Packs an integer into plaintext bits for [`Circuit::eval_plain`].
 pub fn to_bits(value: i64, width: usize) -> Vec<bool> {
@@ -578,6 +612,68 @@ mod tests {
         assert_eq!((c.unit_gates().len(), c.and_count()), (3, 1));
         assert_eq!(c.unit_written(), WrittenCounts { gates: 6, ands: 2 });
         assert_eq!(c.eval_plain(&[true], &[false]), vec![false, true, false]);
+    }
+
+    /// Operands of a 12-bit word sign-extended from every length 1..=6
+    /// meet `i64` arithmetic wrapped to the width on every value.
+    #[test]
+    fn narrowed_arithmetic_matches_reference_on_every_value() {
+        const W: usize = 12;
+        for ka in 1..=6usize {
+            for kb in 1..=6usize {
+                let mut b = CircuitBuilder::new();
+                let x = b.garbler_input(ka);
+                let y = b.evaluator_input(kb);
+                let (x, y) = (b.resize_signed(&x, W), b.resize_signed(&y, W));
+                assert_eq!((sig_len(&x), sig_len(&y)), (ka, kb));
+                let mut outs = b.add(&x, &y);
+                outs.extend(b.sub(&x, &y));
+                outs.extend(b.mul(&x, &y));
+                outs.extend(b.mul_full_signed(&x, &y));
+                outs.push(b.lt_signed(&x, &y));
+                let c = b.build(&outs);
+                let (lo_a, lo_b) = (-(1i64 << (ka - 1)), -(1i64 << (kb - 1)));
+                for a in lo_a..-lo_a {
+                    for v in lo_b..-lo_b {
+                        let out = c.eval_plain(&to_bits(a, ka), &to_bits(v, kb));
+                        let word = |i: usize| from_bits_signed(&out[i * W..(i + 1) * W]);
+                        assert_eq!(word(0), wrap(a + v, W), "{a} + {v} ({ka}, {kb})");
+                        assert_eq!(word(1), wrap(a - v, W), "{a} - {v} ({ka}, {kb})");
+                        assert_eq!(word(2), wrap(a * v, W), "{a} * {v} ({ka}, {kb})");
+                        assert_eq!(from_bits_signed(&out[3 * W..5 * W]), a * v, "{a} * {v}");
+                        assert_eq!(out[5 * W], a < v, "{a} < {v} ({ka}, {kb})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `k`-bit add or subtract in a 48-bit word costs at most `k + 1`
+    /// ANDs, and a `ka × kb` product at most `kb · (2·ka + 1)`: the chains
+    /// stop one bit past the operands' significant bits.
+    #[test]
+    fn narrowed_arithmetic_costs_the_significant_bits() {
+        const W: usize = 48;
+        let narrow = |ka: usize, kb: usize| {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_input(ka);
+            let y = b.evaluator_input(kb);
+            let (x, y) = (b.resize_signed(&x, W), b.resize_signed(&y, W));
+            (b, x, y)
+        };
+        for k in 1..W {
+            for op in [CircuitBuilder::add, CircuitBuilder::sub] {
+                let (mut b, x, y) = narrow(k, k);
+                let out = op(&mut b, &x, &y);
+                assert!(out[k..].iter().all(|&o| o == out[k]), "sign copies above bit {k}");
+                assert!(b.build(&out).and_count() <= k + 1, "{k}-bit add");
+            }
+        }
+        for (ka, kb) in [(1, 1), (5, 3), (14, 13), (21, 21), (47, 2)] {
+            let (mut b, x, y) = narrow(ka, kb);
+            let out = b.mul_full_signed(&x, &y);
+            assert!(b.build(&out).and_count() <= kb * (2 * ka + 1), "{ka} × {kb}");
+        }
     }
 
     #[test]

@@ -11,7 +11,12 @@
 //! at the normalised mantissa, where its own shift is 0; the GELU step
 //! (`primer_core::gcmod`) reads its gap from ReLU. What is left —
 //! `mul_q`, SoftMax's max and sum, LayerNorm's moments and the
-//! normalising shifts — follows the reference's dataflow gate for gate.
+//! normalising shifts — follows the reference's dataflow gate for gate,
+//! at the width the builder reads off each operand's sign copies rather
+//! than the configured word's: a table output is 13–14 bits, a saturated
+//! LayerNorm input `bits` plus the scale gap. The normalising shifts
+//! read only the left-shift amount bits that the exponent's lower bound
+//! leaves possible.
 
 use crate::arith::{max_signed, msb_index, shift_by_neg_signed};
 use crate::builder::{Bit, CircuitBuilder, Word};
@@ -91,7 +96,8 @@ pub fn exp_neg(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
 /// rsqrt (`even` true): `x = m · 2^s` with `s = msb(x) + 1 − frac`,
 /// respectively `msb(x) − frac` rounded up to even, as `(m, s)` — `m` in
 /// `[2^(frac−1), 2^frac)`, respectively `[2^(frac−1), 2^(frac+1))`, and
-/// `s` a signed word.
+/// `s` a signed word. Shifting by `s` moves left by at most
+/// [`max_left`]`(frac, even)` bits.
 fn normalise(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word, even: bool) -> (Word, Word) {
     let bits = cfg.exponent_bits();
     let mut e = msb_index(b, x, bits);
@@ -105,7 +111,18 @@ fn normalise(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word, even: bool) -> (Wo
         lsb[0] = s[0];
         s = b.add(&s, &lsb);
     }
-    (shift_by_neg_signed(b, x, &s), s)
+    (shift_by_neg_signed(b, x, &s, max_left(cfg.frac, even)), s)
+}
+
+/// The largest left shift `−s` that [`normalise`]'s exponent asks for.
+fn max_left(frac: u32, even: bool) -> usize {
+    if even {
+        // msb ≥ 0, so s = msb − frac, rounded up to even, is ≥ −frac.
+        frac as usize
+    } else {
+        // msb ≥ 0, so s = msb + 1 − frac ≥ 1 − frac.
+        frac as usize - 1
+    }
 }
 
 /// The reference at every mantissa `m < 2^index_bits` that normalisation
@@ -124,7 +141,7 @@ pub fn recip(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
     let table = mantissa_table(cfg.frac, cfg.frac, fxp::recip);
     let y = table.read(b, &m[..cfg.frac as usize]);
     let y = b.resize_unsigned(&y, cfg.width);
-    shift_by_neg_signed(b, &y, &s)
+    shift_by_neg_signed(b, &y, &s, max_left(cfg.frac, false))
 }
 
 /// `1/sqrt(x)` for `x > 0` — matches `fxp::rsqrt`: normalise to an even
@@ -135,9 +152,9 @@ pub fn rsqrt(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
     let table = mantissa_table(cfg.frac, cfg.frac + 1, fxp::rsqrt);
     let y = table.read(b, &m[..cfg.frac as usize + 1]);
     let y = b.resize_unsigned(&y, cfg.width);
-    // s is even, so s/2 is exact.
+    // s is even, so s/2 is exact, and s ≥ −frac, so s/2 ≥ −frac/2.
     let half_s = b.shr_arith_const(&s, 1);
-    shift_by_neg_signed(b, &y, &half_s)
+    shift_by_neg_signed(b, &y, &half_s, max_left(cfg.frac, true) / 2)
 }
 
 /// Stable SoftMax over a slice of words — matches `fxp::softmax`.
@@ -552,6 +569,27 @@ mod tests {
                 for (x, m) in xs.iter().zip(eval_lanes(&c, &xs)) {
                     let reachable = 1i64 << (cfg.frac - 1);
                     assert!((reachable..top).contains(&m), "width {}, x {x}: m {m}", cfg.width);
+                }
+            }
+        }
+    }
+
+    /// The exponent `normalise` returns keeps to the left-shift bound the
+    /// shifters are built for: `s ≥ 1 − frac` for recip and `s ≥ −frac`
+    /// for rsqrt.
+    #[test]
+    fn normalised_exponent_keeps_to_the_left_shift_bound() {
+        for cfg in WIDTHS {
+            let frac = i64::from(cfg.frac);
+            for (even, min_s) in [(false, 1 - frac), (true, -frac)] {
+                assert_eq!(max_left(cfg.frac, even) as i64, -min_s);
+                let mut b = CircuitBuilder::new();
+                let x = b.garbler_input(cfg.width);
+                let (_, s) = normalise(&mut b, cfg, &x, even);
+                let c = b.build(&s);
+                let xs = positive_inputs(cfg);
+                for (x, s) in xs.iter().zip(eval_lanes(&c, &xs)) {
+                    assert!(s >= min_s, "width {}, even {even}, x {x}: s {s}", cfg.width);
                 }
             }
         }

@@ -461,9 +461,15 @@ mod tests {
         // key's first polynomial, after the 13-byte header and step
         // list, the 8-byte element, the 3 key header bytes and the
         // 2-byte poly header.
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[26..34].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(from_bytes(&ctx, &bad).err(), Some(HeError::Malformed { what: "poly residue" }));
+        // That polynomial's form byte: coefficient form, or no form at all.
+        for (form, what) in [(0, "poly not in NTT form"), (2, "poly form")] {
+            let mut bad = bytes.clone();
+            bad[24] = form;
+            assert_eq!(from_bytes(&ctx, &bad).err(), Some(HeError::Malformed { what }), "{form}");
+        }
     }
 
     #[test]

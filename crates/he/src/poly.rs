@@ -381,16 +381,24 @@ impl RnsPoly {
         }
     }
 
-    /// Reads a polynomial written by [`RnsPoly::write`].
+    /// Reads a polynomial written by [`RnsPoly::write`] in NTT form — the
+    /// form of every ciphertext and key-switching part on the wire, and
+    /// the one the evaluator asserts.
     ///
     /// # Errors
     ///
-    /// [`HeError::Malformed`] on truncated input, a prime count that
-    /// does not match the context, or a residue not below its prime —
-    /// the arithmetic assumes canonical residues, and these bytes come
-    /// from the peer.
+    /// [`HeError::Malformed`] on truncated input, a form byte other than
+    /// 1 (coefficient form, or no form at all), a prime count that does
+    /// not match the context, or a residue not below its prime — the
+    /// arithmetic assumes canonical residues, and these bytes come from
+    /// the peer.
     pub fn read(ctx: &HeContext, r: &mut Rdr) -> Result<Self, HeError> {
         let [form, primes] = r.array("poly header")?;
+        match form {
+            1 => {}
+            0 => return Err(HeError::Malformed { what: "poly not in NTT form" }),
+            _ => return Err(HeError::Malformed { what: "poly form" }),
+        }
         if usize::from(primes) != ctx.num_primes() {
             return Err(HeError::Malformed { what: "poly prime count" });
         }
@@ -404,7 +412,7 @@ impl RnsPoly {
             }
             values.push(v);
         }
-        Ok(Self { values, ntt_form: form == 1 })
+        Ok(Self { values, ntt_form: true })
     }
 }
 

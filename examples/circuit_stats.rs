@@ -7,8 +7,9 @@
 //! Run: `cargo run --release --example circuit_stats [-- --check]`
 //!
 //! `--check` exits non-zero if any unit holds a gate no output depends
-//! on, `unit ANDs × repeat` disagrees with `Circuit::and_count()`, or a
-//! Primer-FPC query needs more than [`FPC_QUERY_AND_BOUND`] ANDs.
+//! on, `unit ANDs × repeat` disagrees with `Circuit::and_count()`, a
+//! Primer-FPC step unit needs more than [`FPC_UNIT_AND_BOUND`] ANDs or a
+//! Primer-FPC query more than [`FPC_QUERY_AND_BOUND`].
 
 use primer::core::{build_session_circuits, ProtocolVariant, SystemConfig};
 use primer::gc::circuit::Gate;
@@ -19,7 +20,10 @@ use std::process::ExitCode;
 
 /// ANDs a test-tiny Primer-FPC query may garble (ROADMAP item 3's GC
 /// budget): a gadget change that re-inflates a step fails the check.
-const FPC_QUERY_AND_BOUND: usize = 1_000_000;
+const FPC_QUERY_AND_BOUND: usize = 400_000;
+/// ANDs one unit of a test-tiny Primer-FPC step may garble: LayerNorm's
+/// row is the largest unit.
+const FPC_UNIT_AND_BOUND: usize = 20_000;
 
 fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let check = std::env::args().skip(1).any(|a| a == "--check");
@@ -77,6 +81,10 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
             let walked = c.unit_gates().iter().filter(|g| matches!(g, Gate::And(_, _))).count();
             if walked * c.repeat() != c.and_count() {
                 eprintln!("step {i}: unit ANDs × repeat disagrees with and_count()");
+                bad += 1;
+            }
+            if variant == ProtocolVariant::Fpc && walked > FPC_UNIT_AND_BOUND {
+                eprintln!("step {i}: {walked} ANDs a unit, above {FPC_UNIT_AND_BOUND}");
                 bad += 1;
             }
         }
